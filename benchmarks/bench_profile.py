@@ -3,7 +3,8 @@
 Regenerates the profile experiment: per-call wall time of the fused-pattern
 counter model at three warmth levels (cold full evaluation, warm without a
 profile, warm with the cached profile), plus the end-to-end warm
-``evaluate()`` comparison against the pre-profile session state.
+``evaluate()`` comparison against the pre-profile session state and
+against a pinned matrix (memoized fingerprint, no per-call hash).
 
 Also runnable as a script for CI smoke runs::
 
@@ -24,8 +25,9 @@ from repro.bench.engine_bench import profile_amortization
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def _ratios(result) -> tuple[float, float]:
-    """(model-overhead reduction, end-to-end speedup) from the series rows."""
+def _ratios(result) -> tuple[float, float, float]:
+    """(model-overhead reduction, end-to-end speedup, pinning speedup) from
+    the series rows."""
     per_call = dict(zip(result.column("series"),
                         result.column("per_call_ms")))
     overhead = dict(zip(result.column("series"),
@@ -37,7 +39,9 @@ def _ratios(result) -> tuple[float, float]:
                / max(overhead["warm_profiled"], resolution))
     e2e_x = (per_call["pre_profile_warm_e2e"]
              / max(per_call["engine_warm_e2e"], 1e-9))
-    return model_x, e2e_x
+    pinned_x = (per_call["engine_warm_e2e"]
+                / max(per_call["engine_pinned_warm_e2e"], 1e-9))
+    return model_x, e2e_x, pinned_x
 
 
 def bench_profile(benchmark, record_experiment):
@@ -46,13 +50,15 @@ def bench_profile(benchmark, record_experiment):
 
     per_call = dict(zip(result.column("series"),
                         result.column("per_call_ms")))
-    model_x, e2e_x = _ratios(result)
+    model_x, e2e_x, pinned_x = _ratios(result)
 
     # the acceptance claims: cached profiles cut the warm per-iteration
     # model-building overhead >= 5x and the end-to-end warm evaluate()
-    # >= 1.5x on the Fig. 3 sweep workload
+    # >= 1.5x on the Fig. 3 sweep workload; pinning the matrix (no
+    # per-call content hash) makes the warm evaluate() >= 2x faster again
     assert model_x >= 5.0, f"model-overhead reduction {model_x:.2f}x < 5x"
     assert e2e_x >= 1.5, f"end-to-end warm speedup {e2e_x:.2f}x < 1.5x"
+    assert pinned_x >= 2.0, f"pinned warm speedup {pinned_x:.2f}x < 2x"
 
     # sanity on the series shape: the floor is the cheapest, the cold path
     # the dearest of the single-call series, and the profiled warm call
@@ -69,16 +75,17 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--scale", type=float, default=None,
                     help="row-count scale in (0, 1] (default: REPRO_SCALE)")
     ap.add_argument("--check", action="store_true",
-                    help="exit non-zero if the >=5x / >=1.5x targets are "
-                         "missed (wall-clock ratios are noisy on shared "
-                         "runners, so CI records without gating)")
+                    help="exit non-zero if the >=5x / >=1.5x / >=2x "
+                         "targets are missed (wall-clock ratios are noisy "
+                         "on shared runners, so CI records without "
+                         "gating)")
     args = ap.parse_args(argv)
 
     iterations = 10 if args.quick else 30
     result = profile_amortization(scale=args.scale, iterations=iterations)
     result.print()
 
-    model_x, e2e_x = _ratios(result)
+    model_x, e2e_x, pinned_x = _ratios(result)
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "experiment": result.experiment,
@@ -87,16 +94,18 @@ def main(argv: list[str] | None = None) -> int:
         "series": [dict(zip(result.columns, row)) for row in result.rows],
         "model_overhead_reduction_x": model_x,
         "warm_e2e_speedup_x": e2e_x,
+        "pinned_warm_e2e_x": pinned_x,
         "notes": result.notes,
     }
     out = RESULTS_DIR / "BENCH_profile.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
 
-    ok = model_x >= 5.0 and e2e_x >= 1.5
+    ok = model_x >= 5.0 and e2e_x >= 1.5 and pinned_x >= 2.0
     if not ok:
         print(f"targets missed: model {model_x:.2f}x (>=5 wanted), "
-              f"e2e {e2e_x:.2f}x (>=1.5 wanted)", file=sys.stderr)
+              f"e2e {e2e_x:.2f}x (>=1.5 wanted), pinned {pinned_x:.2f}x "
+              f"(>=2 wanted)", file=sys.stderr)
     return 0 if ok or not args.check else 1
 
 

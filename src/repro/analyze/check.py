@@ -1,8 +1,9 @@
 """The ``repro check`` entry point: run every static checker and report.
 
 Default scope (no paths given): all shipped SIMT kernels in
-:mod:`repro.kernels.simt_kernels` plus a ``(VS, TL)`` grid of generated
-dense specializations (the Listing 2 lint).  With explicit paths, only
+:mod:`repro.kernels.simt_kernels`, a ``(VS, TL)`` grid of generated dense
+specializations (the Listing 2 lint), and the fused cell-wise sources the
+plan optimizer emits for the shipped DML scripts.  With explicit paths, only
 those kernel files are analyzed — that is how the seeded-bug fixture corpus
 under ``tests/badkernels/`` is exercised.
 """
@@ -15,7 +16,7 @@ import os
 
 from .checkers import check_models
 from .codegen_lint import (check_cellwise_source, check_codegen_source,
-                           check_sparse_source, check_specialization)
+                           check_specialization)
 from .extract import AnalysisError, extract_kernel, is_kernel
 from .model import Finding
 
@@ -60,13 +61,11 @@ def analyze_file(path: str) -> list[Finding]:
                 findings.append(Finding(
                     kind=f_.kind, kernel=f_.kernel, line=f_.line,
                     message=f_.message, file=path))
-        elif node.name.startswith(("mtmvm_", "cellwise_", "sparse_")):
+        elif node.name.startswith(("mtmvm_", "cellwise_")):
             # generated-kernel families are linted as standalone sources;
             # re-anchor their segment-relative line numbers to the file
             src = ast.get_source_segment(source, node) or ""
             checker = (check_codegen_source if node.name.startswith("mtmvm_")
-                       else check_sparse_source
-                       if node.name.startswith("sparse_")
                        else check_cellwise_source)
             offset = node.lineno - 1
             findings.extend(
@@ -127,29 +126,6 @@ def check_fusion_sources() -> list[Finding]:
     return findings
 
 
-def check_sparse_codegen() -> list[Finding]:
-    """Lint every source the AOT sparse generator emits over representative
-    structures — dense-ish, empty-row-heavy, single-row, and fully empty —
-    at a small VS x C specialization grid (fresh-kernel regression)."""
-    from ..kernels.codegen import CompiledSparseKernels
-    from ..sparse.generate import random_csr
-
-    structures = [
-        random_csr(64, 16, 0.3, rng=0),      # typical
-        random_csr(48, 12, 0.02, rng=1),     # mostly empty rows
-        random_csr(1, 8, 0.5, rng=2),        # single row
-        random_csr(32, 8, 0.0, rng=3),       # nnz == 0 (degenerate source)
-    ]
-    findings: list[Finding] = []
-    for X in structures:
-        for vs, c in ((32, 1), (64, 4)):
-            bundle = CompiledSparseKernels(X, vs=vs, c=c)
-            for name, src in bundle.sources.items():
-                findings.extend(check_sparse_source(
-                    src, filename=f"<generated {name}>"))
-    return findings
-
-
 def run_check(paths: list[str] | None = None,
               grid: tuple[tuple[int, int], ...] = DEFAULT_GRID) \
         -> list[Finding]:
@@ -161,8 +137,7 @@ def run_check(paths: list[str] | None = None,
                 raise SystemExit(f"kernel file not found: {path}")
             findings.extend(analyze_file(path))
         return findings
-    return (check_shipped() + check_grid(grid) + check_fusion_sources()
-            + check_sparse_codegen())
+    return check_shipped() + check_grid(grid) + check_fusion_sources()
 
 
 def findings_json(findings: list[Finding],

@@ -368,203 +368,3 @@ def check_cellwise_specialization(n: int, vs: int, tl: int,
     return check_cellwise_source(
         generate_cellwise_source(n, vs, tl, program),
         filename=f"<generated cellwise_{n}_{vs}_{tl}>")
-
-
-# ------------------------------------------------------ AOT sparse kernels --
-_SPARSE_NAME_RE = re.compile(
-    r"^sparse_(spmv|spmvt|fused)_([0-9a-f]{8})_(\d+)_(\d+)(_v|_b|_vb)?$")
-
-#: uppercase namespace constants a generated sparse kernel may reference
-_SPARSE_CONSTANTS = {"VALUES", "COL_IDX", "STARTS", "NONEMPTY", "ROW_EXPAND"}
-
-#: the only calls a flat sparse kernel may make
-_SPARSE_CALLS = {"np.take", "np.multiply", "np.zeros",
-                 "np.add.reduceat", "np.bincount"}
-
-_SPARSE_FLOW = (ast.For, ast.While, ast.If, ast.IfExp, ast.Try, ast.With,
-                ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
-                ast.Lambda)
-
-
-def _dotted_call_name(call: ast.Call) -> str | None:
-    parts: list[str] = []
-    node: ast.AST = call.func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _check_sparse_flatness(fn: ast.FunctionDef) -> list[Finding]:
-    """The emitted body must be straight-line NumPy: no control flow, no
-    nested defs, and only the whitelisted vectorized calls (anything else
-    would not map onto the single-launch kernel the source models)."""
-    findings = []
-    for node in ast.walk(fn):
-        if node is fn:
-            continue
-        if isinstance(node, _SPARSE_FLOW
-                      + (ast.FunctionDef, ast.AsyncFunctionDef)):
-            findings.append(_finding(
-                "codegen-flatness", fn.name, node.lineno,
-                f"generated sparse kernels must be flat straight-line "
-                f"code; found {type(node).__name__.lower()}"))
-        elif isinstance(node, ast.Call):
-            name = _dotted_call_name(node)
-            if name not in _SPARSE_CALLS:
-                findings.append(_finding(
-                    "codegen-flatness", fn.name, node.lineno,
-                    f"call to {name or ast.unparse(node.func)!r} is outside "
-                    f"the sparse-kernel whitelist {sorted(_SPARSE_CALLS)}"))
-    return findings
-
-
-def _check_sparse_constants(fn: ast.FunctionDef) -> list[Finding]:
-    """Every shape scalar must be baked as a literal and every subscript
-    index must be one of the uppercase structure constants — the host-side
-    mirror of Listing 2's compile-time specialization."""
-    findings = []
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            name = _dotted_call_name(node)
-            if name == "np.zeros" and (
-                    not node.args or _const_int(node.args[0]) is None):
-                findings.append(_finding(
-                    "codegen-nonconstant-index", fn.name, node.lineno,
-                    "np.zeros size must be a baked integer literal "
-                    "(specialization constant)"))
-            if name == "np.bincount":
-                minlength = next((kw.value for kw in node.keywords
-                                  if kw.arg == "minlength"), None)
-                if _const_int(minlength) is None:
-                    findings.append(_finding(
-                        "codegen-nonconstant-index", fn.name, node.lineno,
-                        "np.bincount minlength must be a baked integer "
-                        "literal (specialization constant)"))
-        elif isinstance(node, ast.Subscript):
-            idx = node.slice
-            if not (isinstance(idx, ast.Name)
-                    and idx.id in _SPARSE_CONSTANTS):
-                findings.append(_finding(
-                    "codegen-nonconstant-index", fn.name, node.lineno,
-                    f"subscript index in {ast.unparse(node)!r} must be an "
-                    f"uppercase structure constant "
-                    f"({sorted(_SPARSE_CONSTANTS)})"))
-    return findings
-
-
-def _reads_scratch(node: ast.AST) -> bool:
-    return any(isinstance(sub, ast.Name) and sub.id == "scratch"
-               for sub in ast.walk(node))
-
-
-def _check_sparse_scratch(fn: ast.FunctionDef, stage: str,
-                          suffix: str) -> list[Finding]:
-    """Scratch discipline and stage/flag consistency.
-
-    ``scratch`` holds the gather product; reading it before the stage's
-    ``np.take(..., out=scratch)`` wrote it consumes a stale buffer from a
-    previous call (the classic reuse hazard).  For the fused family the
-    optional stages must match the name suffix exactly: ``p = p * v`` iff
-    ``_v`` and ``w = w + beta * z`` iff ``_b``.
-    """
-    findings = []
-    written = False
-    has_v_stage = False
-    has_b_stage = False
-    for stmt in fn.body:
-        src = ast.unparse(stmt)
-        if re.fullmatch(r"p = p \* v", src):
-            has_v_stage = True
-            continue
-        if re.fullmatch(r"w = w \+ beta \* z", src):
-            has_b_stage = True
-            continue
-        is_take_into_scratch = False
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) \
-                    and _dotted_call_name(node) == "np.take" \
-                    and any(kw.arg == "out"
-                            and isinstance(kw.value, ast.Name)
-                            and kw.value.id == "scratch"
-                            for kw in node.keywords):
-                is_take_into_scratch = True
-        if is_take_into_scratch:
-            written = True
-            continue
-        if not written and _reads_scratch(stmt):
-            findings.append(_finding(
-                "codegen-accumulation", fn.name, stmt.lineno,
-                "scratch is read before np.take(..., out=scratch) wrote "
-                "it — stale gather buffer from a previous call"))
-    if stage == "fused":
-        want_v, want_b = "v" in suffix, "b" in suffix
-        if has_v_stage != want_v:
-            findings.append(_finding(
-                "codegen-accumulation", fn.name, fn.lineno,
-                f"fused specialization {suffix or '(no suffix)'} "
-                f"{'must' if want_v else 'must not'} contain the "
-                f"inter-vector stage 'p = p * v'"))
-        if has_b_stage != want_b:
-            findings.append(_finding(
-                "codegen-accumulation", fn.name, fn.lineno,
-                f"fused specialization {suffix or '(no suffix)'} "
-                f"{'must' if want_b else 'must not'} contain the axpy "
-                f"stage 'w = w + beta * z'"))
-    elif has_v_stage or has_b_stage:
-        findings.append(_finding(
-            "codegen-accumulation", fn.name, fn.lineno,
-            f"{stage} kernels must not contain fused-only stages"))
-    return findings
-
-
-def check_sparse_source(source: str, filename: str = "") -> list[Finding]:
-    """Lint one generated AOT sparse kernel (any stage of the family).
-
-    Rules, in the spirit of the dense Listing-2 lint but for the
-    structure-specialized sparse generators:
-
-    * ``codegen-flatness`` — straight-line body, whitelisted NumPy calls
-      only, no control flow (degenerate structures bake their early exit
-      at generation time, so a runtime branch is always a bug);
-    * ``codegen-nonconstant-index`` — shape scalars are baked literals and
-      subscripts index through uppercase structure constants;
-    * ``codegen-accumulation`` — scratch is written by the stage's gather
-      before it is read, and fused call-shape stages match the name suffix.
-    """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [_finding("codegen-flatness", "<unparseable>",
-                         exc.lineno or 0,
-                         f"generated source does not parse: {exc.msg}")]
-    fns = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
-    if len(fns) != 1:
-        return [_finding("codegen-flatness", "<module>", 1,
-                         f"expected exactly one generated function, found "
-                         f"{len(fns)}")]
-    fn = fns[0]
-    m = _SPARSE_NAME_RE.match(fn.name)
-    if not m:
-        return [_finding("codegen-flatness", fn.name, fn.lineno,
-                         "generated function name must be "
-                         "sparse_<stage>_<tag>_<VS>_<C>[_v|_b|_vb]")]
-    stage, _tag, _vs, _c, suffix = m.groups()
-    suffix = suffix or ""
-    findings: list[Finding] = []
-    if suffix and stage != "fused":
-        findings.append(_finding(
-            "codegen-flatness", fn.name, fn.lineno,
-            f"call-shape suffix {suffix!r} is only valid on the fused "
-            f"stage"))
-    findings += _check_sparse_flatness(fn)
-    findings += _check_sparse_constants(fn)
-    findings += _check_sparse_scratch(fn, stage, suffix)
-    if filename:
-        findings = [Finding(kind=f.kind, kernel=f.kernel, line=f.line,
-                            message=f.message, file=filename)
-                    for f in findings]
-    return findings

@@ -1,7 +1,7 @@
 """Builder for the static-analysis correctness-gate experiment.
 
 Re-runs the `repro check` scopes (shipped SIMT kernels, the generated
-dense/cell-wise/sparse families) and cross-validates the seeded-bug
+dense and cell-wise families) and cross-validates the seeded-bug
 corpus, so EXPERIMENTS.md records the gate's verdict next to the
 performance experiments instead of keeping a hand-maintained table the
 report generator would silently drop.
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from ..analyze import analyze_file
 from ..analyze.check import (DEFAULT_GRID, check_fusion_sources, check_grid,
-                             check_shipped, check_sparse_codegen)
+                             check_shipped)
 from ..analyze.sanitizer import alg1_launch, alg2_launch
 from .harness import ExperimentResult, register
 
@@ -63,7 +63,7 @@ def _simt_corpus_row(corpus: Path) -> tuple[str, int, str]:
 
 
 def _codegen_corpus_row(corpus: Path) -> tuple[str, int, str]:
-    """Lint verdict over the text-level codegen mutants (dense + sparse)."""
+    """Lint verdict over the text-level cell-wise codegen mutants."""
     fixtures = sorted(corpus.glob("*.py"))
     findings = 0
     hit = 0
@@ -94,8 +94,6 @@ def analyze_gate(scale: float | None = None) -> ExperimentResult:
          check_grid()),
         ("generated cellwise_* kernels from shipped fusion plans",
          check_fusion_sources()),
-        ("generated sparse_* AOT family (4 structures x 2 specializations)",
-         check_sparse_codegen()),
     ]
     for scope, findings in clean:
         res.add(scope, len(findings),

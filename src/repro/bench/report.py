@@ -21,8 +21,10 @@ from .harness import REGISTRY, ExperimentResult
 PAPER_HEADLINES: dict[str, str] = {
     "engine": "Fig. 2 amortization as a session guarantee (transpose built "
               "once; plans/tuning reused across iterations)",
-    "profile": "structure-invariant inspection hoisted out of the iteration "
-               "(SystemML-style plan reuse; no paper headline)",
+    "profile": "structure-invariant inspection hoisted out of the iteration, "
+               "and a pinned matrix's fingerprint memoized instead of "
+               "re-hashed per call (SystemML-style plan reuse; no paper "
+               "headline)",
     "serve": "fingerprint-aware micro-batching vs naive FIFO under a "
              "bounded artifact LRU (serving-layer extension; no paper "
              "headline)",
@@ -46,9 +48,6 @@ PAPER_HEADLINES: dict[str, str] = {
     "host-analyze": "lock-discipline checking of the serve/cluster/engine "
                     "host stack, cross-validated by a dynamic lock-order "
                     "witness (correctness gate; no paper headline)",
-    "codegen": "specialized code generation for the fused kernel "
-               "(Section 4 codegen, host-level analogue: specialization "
-               "constants baked at compile time; no paper headline)",
     "figure2": "avg ~35x vs cuSPARSE, max 67x at small n; ~3.5x fewer loads",
     "figure3": "avg 20.33x / 14.66x / 9.28x vs cuSPARSE / BIDMat-GPU / "
                "BIDMat-CPU",
@@ -81,9 +80,15 @@ def measured_headline(name: str, res: ExperimentResult) -> str:
                                 res.column("model_overhead_ms")))
             e2e = (per_call["pre_profile_warm_e2e"]
                    / per_call["engine_warm_e2e"])
+            pinned = (per_call["engine_warm_e2e"]
+                      / per_call["engine_pinned_warm_e2e"])
             return (f"warm model overhead {overhead['warm_unprofiled']:.1f} "
                     f"-> {overhead['warm_profiled']:.2f} ms/call; warm "
-                    f"e2e {e2e:.1f}x")
+                    f"e2e {e2e:.1f}x; pinned warm e2e "
+                    f"{per_call['engine_pinned_warm_e2e']:.1f} ms/call vs "
+                    f"{per_call['engine_warm_e2e']:.1f} unpinned "
+                    f"({pinned:.1f}x), at the "
+                    f"{per_call['numeric_floor']:.1f} ms numeric floor")
         if name == "analyze":
             rows = {r[0]: r for r in res.rows}
             clean = sum(r[1] for s, r in rows.items()
@@ -100,15 +105,6 @@ def measured_headline(name: str, res: ExperimentResult) -> str:
                      if not s.startswith("shipped")]
             return (f"{active} active findings over the shipped host "
                     f"stack; {'; '.join(extra) or 'corpus skipped'}")
-        if name == "codegen":
-            per_call = dict(zip(res.column("series"),
-                                res.column("per_call_ms")))
-            x = (per_call["warm_interpreted_e2e"]
-                 / per_call["warm_compiled_e2e"])
-            return (f"warm compiled e2e {per_call['warm_compiled_e2e']:.1f} "
-                    f"ms/call vs {per_call['warm_interpreted_e2e']:.1f} "
-                    f"interpreted ({x:.1f}x), at the "
-                    f"{per_call['numeric_floor']:.1f} ms numeric floor")
         if name == "fusion":
             sp = dict(zip(res.column("script"), res.column("auto_speedup")))
             eq1 = min(sp[s] for s in ("linreg-cg", "logreg", "svm"))
@@ -246,8 +242,7 @@ NOTES = """
 #: experiments measuring host wall-clock (not model time) run first, before
 #: the long model-time builders perturb the process (allocator arenas, CPU
 #: caches) and skew the timed comparisons
-WALL_CLOCK_FIRST = ("codegen", "profile", "serve", "slo", "cluster",
-                    "trace")
+WALL_CLOCK_FIRST = ("profile", "serve", "slo", "cluster", "trace")
 
 
 def generate(path: str = "EXPERIMENTS.md") -> str:

@@ -22,9 +22,10 @@ Commands:
   tracing; writes Chrome trace-event JSON (``chrome://tracing``/Perfetto)
   and prints the top-down phase summary with end-to-end cost attribution;
 * ``check`` — static race/barrier/codegen analysis of the per-thread SIMT
-  kernels (shipped set or explicit files) plus a (VS, TL) grid of generated
-  dense specializations; machine-readable findings with ``--json``, exit 1
-  on any finding;
+  kernels (shipped set or explicit files), a (VS, TL) grid of generated
+  dense specializations and the optimizer's cell-wise fusion sources, plus
+  lock-discipline analysis of the host modules; machine-readable findings
+  with ``--json``, exit 1 on any finding;
 * ``plan`` — enumerate, cost, and select DAG fusion plans
   (:mod:`repro.systemml.fusion`) for the shipped DML scripts or an
   arbitrary ``--expr``, printing per-candidate fused/unfused model costs
@@ -424,67 +425,13 @@ def cmd_check(args: argparse.Namespace) -> int:
             parts = []
             if scope in ("kernels", "all"):
                 parts.append(f"shipped kernels + {len(grid)} generated "
-                             "specializations + fusion + AOT sparse sources")
+                             "specializations + fusion sources")
             if scope in ("host", "all"):
                 parts.append(f"{len(HOST_MODULE_FILES)} host module(s)")
             checked = " + ".join(parts)
         print(findings_text(findings, checked,
                             suppressed_count=len(suppressed)))
     return 1 if findings else 0
-
-
-def cmd_codegen(args: argparse.Namespace) -> int:
-    """Inspect the AOT sparse generators: emit (and optionally lint) the
-    specialized source a matrix's structure produces."""
-    from .analyze.codegen_lint import check_sparse_source
-    from .kernels.codegen import CompiledSparseKernels, sparse_kernel_name
-
-    X = _load_matrix(args.matrix)
-    if not isinstance(X, CsrMatrix):
-        raise SystemExit("repro codegen is sparse-only (CSR matrices)")
-    if args.vs is not None or args.c is not None:
-        vs, c = args.vs or 32, args.c or 1
-    else:
-        params = tune_sparse(X)
-        vs, c = params.vector_size, params.coarsening
-    bundle = CompiledSparseKernels(X, vs=vs, c=c)
-
-    m, n = X.shape
-    print(f"# structure {bundle.tag}: {m}x{n}, nnz={X.nnz}, "
-          f"VS={vs}, C={c} — {len(bundle.sources)} entry points, "
-          f"{bundle.fresh_compiles} fresh compiles, "
-          f"{bundle.nbytes} bytes")
-    wanted: list[str] = []
-    if args.stage in ("spmv", "all"):
-        wanted.append(sparse_kernel_name("spmv", bundle.tag, vs, c))
-    if args.stage in ("spmvt", "all"):
-        wanted.append(sparse_kernel_name("spmvt", bundle.tag, vs, c))
-    if args.stage in ("fused", "all"):
-        sfx = {(False, False): "", (True, False): "_v",
-               (False, True): "_b", (True, True): "_vb"}[
-            (bool(args.with_v), bool(args.beta))]
-        if args.stage == "all" and not (args.with_v or args.beta):
-            wanted += [name for name in bundle.sources
-                       if f"fused_{bundle.tag}" in name]
-        else:
-            wanted.append(
-                sparse_kernel_name("fused", bundle.tag, vs, c, sfx))
-    findings = []
-    for name in wanted:
-        src = bundle.sources[name]
-        print(f"\n# --- {name} ---")
-        print(src, end="")
-        if args.lint:
-            findings.extend(check_sparse_source(
-                src, filename=f"<generated {name}>"))
-    if args.lint:
-        print()
-        for f in findings:
-            print(f.describe())
-        print(f"{len(findings)} finding(s) over {len(wanted)} generated "
-              f"source(s)")
-        return 1 if findings else 0
-    return 0
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -766,8 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "finding)")
     ck.add_argument("paths", nargs="*",
                     help="files to analyze (default: shipped kernels + "
-                         "generated specializations and/or the shipped "
-                         "host modules, per --scope)")
+                         "generated dense and cell-wise sources and/or "
+                         "the shipped host modules, per --scope)")
     ck.add_argument("--scope", default="all",
                     help="kernels | host | all (default all): SIMT kernel "
                          "checkers, host lock-discipline checkers, or both")
@@ -777,28 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="VSxTL specialization grid for the codegen lint "
                          "(comma-separated, e.g. 8x4,16x2)")
     ck.set_defaults(fn=cmd_check)
-
-    cg = sub.add_parser("codegen",
-                        help="emit (and lint) the AOT-specialized sparse "
-                             "kernel source for a matrix's structure")
-    cg.add_argument("--matrix", default="2000x128:0.02",
-                    help=".npz path or MxN:sparsity (default "
-                         "2000x128:0.02)")
-    cg.add_argument("--stage", default="all",
-                    choices=["spmv", "spmvt", "fused", "all"])
-    cg.add_argument("--with-v", action="store_true",
-                    help="fused call shape includes the inter-vector "
-                         "operand")
-    cg.add_argument("--beta", action="store_true",
-                    help="fused call shape includes the beta*z fold")
-    cg.add_argument("--vs", type=int, default=None,
-                    help="vector size override (default: tuned)")
-    cg.add_argument("--c", type=int, default=None,
-                    help="coarsening override (default: tuned)")
-    cg.add_argument("--lint", action="store_true",
-                    help="run the sparse codegen lint over the emitted "
-                         "sources (exit 1 on findings)")
-    cg.set_defaults(fn=cmd_codegen)
 
     pl = sub.add_parser("plan",
                         help="enumerate, cost, and select DAG fusion plans "

@@ -82,10 +82,10 @@ def merge_histograms(hists: list[dict]) -> dict:
 _ENGINE_SUM_FIELDS = (
     "artifact_bytes", "artifact_hits", "artifact_misses", "batch_requests",
     "batch_wall_ms", "batches", "bytes_cached", "calls", "cold_calls",
-    "cold_model_ms", "compile_fallbacks", "compiled_kernels_built",
-    "evictions", "fusion_plans_built", "invalidations", "kernels_compiled",
-    "pinned_fingerprint_hits", "plan_entries", "plan_hits", "plan_misses",
-    "profiles_built", "transposes_built", "warm_calls", "warm_model_ms",
+    "cold_model_ms", "evictions", "fusion_plans_built", "invalidations",
+    "kernels_compiled", "pinned_fingerprint_hits", "plan_entries",
+    "plan_hits", "plan_misses", "profiles_built", "transposes_built",
+    "warm_calls", "warm_model_ms",
 )
 
 

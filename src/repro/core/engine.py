@@ -17,8 +17,10 @@ arXiv:1801.00829):
 * **plan memoization** — the resolved strategy and its analytically tuned
   ``VS/BS/C/TL`` parameters are reused on warm calls;
 * **artifact memoization** — the explicit ``csr2csc`` transpose is built
-  (and charged) once, then reused without further model-time cost; compiled
-  codegen kernels are pinned for the session;
+  (and charged) once, then reused without further model-time cost; kernel
+  profiles and planned-SpMV indices are built once per matrix;
+* **pinning** — :meth:`~PatternEngine.pin` freezes a matrix and memoizes
+  its fingerprint, so warm calls on it skip the content hash;
 * **LRU bounds** — plan entries and artifact bytes are capped, with
   explicit :meth:`~PatternEngine.invalidate` / :meth:`~PatternEngine.clear`;
 * **batched evaluation** — :meth:`~PatternEngine.evaluate_many` runs
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -155,8 +156,6 @@ class EngineStats:
     transposes_built: int = 0
     profiles_built: int = 0
     kernels_compiled: int = 0
-    compiled_kernels_built: int = 0
-    compile_fallbacks: int = 0
     pinned_fingerprint_hits: int = 0
     fusion_plans_built: int = 0
     evictions: int = 0
@@ -223,9 +222,8 @@ class EngineStats:
             f"{self.transposes_built} transposes built, "
             f"{self.profiles_built} profiles built, "
             f"{self.kernels_compiled} kernels compiled",
-            f"sparse AOT:       {self.compiled_kernels_built} bundles built, "
-            f"{self.compile_fallbacks} compile fallbacks, "
-            f"{self.pinned_fingerprint_hits} pinned-fingerprint hits",
+            f"pinned matrices:  {self.pinned_fingerprint_hits} "
+            f"pinned-fingerprint hits",
             f"bytes cached:     {self.bytes_cached}",
             f"cold model-time:  {self.cold_ms_per_call:.4f} ms/call",
             f"warm model-time:  {self.warm_ms_per_call:.4f} ms/call",
@@ -259,18 +257,13 @@ class PatternEngine:
         LRU bound on the total bytes of cached artifacts (transposes).
     check:
         Verify every result against the NumPy reference (slow; tests only).
-    compile_kernels:
-        Build AOT-compiled sparse kernel bundles for fused sparse plans
-        (the warm-path fast route).  Disable to force interpreted dispatch
-        (benchmark baseline / debugging).
     """
 
     def __init__(self, ctx: GpuContext | None = None, max_plans: int = 256,
                  max_artifact_bytes: int = 256 * 1024 * 1024,
-                 check: bool = False, compile_kernels: bool = True):
+                 check: bool = False):
         self.ctx = ctx or DEFAULT_CONTEXT
         self.check = check
-        self.compile_kernels = compile_kernels
         self.executor = PatternExecutor(self.ctx)
         self.max_plans = max_plans
         self.max_artifact_bytes = max_artifact_bytes
@@ -438,21 +431,32 @@ class PatternEngine:
     def pin(self, X: CsrMatrix | np.ndarray) -> str:
         """Freeze ``X`` and memoize its content fingerprint.
 
-        Warm calls on a pinned matrix skip the full content hash — the
-        dominant per-call host cost once kernels are compiled.  Soundness
-        comes from freezing: every backing array is marked read-only, so
-        the in-place mutation that fingerprinting exists to detect raises
-        instead of silently invalidating the memo.  :meth:`unpin` restores
-        writability.  Unpinned matrices keep the full hash-per-call
-        semantics unchanged.
+        Warm calls on a pinned matrix skip the full content hash, which
+        on an iterative solver's warm path costs more host time than the
+        numeric kernel itself.  Soundness comes from freezing: every
+        backing array is marked read-only, so the in-place mutation that
+        fingerprinting exists to detect raises instead of silently
+        invalidating the memo.  :meth:`unpin` (or :meth:`invalidate`)
+        restores writability.  Unpinned matrices keep the full
+        hash-per-call semantics unchanged.  A sparse ``X`` is held weakly
+        and its memo drops itself when ``X`` dies; that callback reaches
+        the engine only weakly, so a pin never keeps a dropped engine (and
+        its caches) alive.
         """
         arrays = self._backing_arrays(X)
         for a in arrays:
             a.flags.writeable = False
         fp = fingerprint_matrix(X)
         key = id(X)
+        engine = weakref.ref(self)
+
+        def forget(_):
+            live = engine()
+            if live is not None:
+                live._pinned.pop(key, None)
+
         try:
-            ref = weakref.ref(X, lambda _: self._pinned.pop(key, None))
+            ref = weakref.ref(X, forget)
         except TypeError:
             # ndarrays aren't weakref-able; a strong ref keeps the memo's
             # id() stable (the pin holds the matrix alive until unpin)
@@ -503,33 +507,6 @@ class PatternEngine:
             return False
         return all(c is a and not a.flags.writeable
                    for c, a in zip(current, arrays))
-
-    def compiled_for_pinned(self, X: CsrMatrix) -> object | None:
-        """Cached AOT bundle for a *pinned* sparse matrix, without hashing.
-
-        The DAG executor's per-node dispatch cannot afford a content hash,
-        so compiled pickup there is gated on the pin memo: returns the
-        cached :class:`~repro.kernels.codegen.CompiledSparseKernels` if
-        ``X`` is pinned with its pin intact and a bundle is already in the
-        LRU, else ``None`` (never builds).
-        """
-        if not (self.compile_kernels and isinstance(X, CsrMatrix)):
-            return None
-        with self._lock:
-            entry = self._pinned.get(id(X))
-        if entry is None:
-            return None
-        ref, fp, arrays = entry
-        if ref() is not X or not self._pin_intact(X, arrays):
-            return None
-        akey = (fp, self._device_fp, "compiled:sparse")
-        with self._lock:
-            art = self._artifacts.get(akey)
-            if art is not None and art.value is not None:
-                self._artifacts.move_to_end(akey)
-                self._stats.artifact_hits += 1
-                return art.value
-        return None
 
     # -------------------------------------------------------------- internals
     @staticmethod
@@ -638,10 +615,8 @@ class PatternEngine:
         plan = self.executor.plan_for(p, entry.strategy)
         if entry.strategy == "fused":
             prof, prof_warm = self._profile_for(p, entry, mat_fp)
-            compiled = (self._compiled_for(p.X, entry, mat_fp, prof)
-                        if p.is_sparse else None)
-            return plan.evaluate(p, params=entry.params, profile=prof,
-                                 compiled=compiled), prof_warm
+            return plan.evaluate(p, params=entry.params,
+                                 profile=prof), prof_warm
         if entry.strategy == "cusparse-explicit" and p.is_sparse:
             XT, trans_res, warm = self._transpose_for(p.X, mat_fp)
             if p.inner:
@@ -756,65 +731,13 @@ class PatternEngine:
         self._store_profile(akey, "spmv-plan", plan, int(plan.nbytes))
         return plan
 
-    def _compiled_for(self, X: CsrMatrix, entry: PlanEntry, mat_fp: str,
-                      prof) -> object | None:
-        """Fetch or build the AOT sparse-kernel bundle for a fused plan.
-
-        Cached in the artifact LRU next to the kernel profile, keyed by the
-        matrix *content* fingerprint, so structure mutation (new
-        fingerprint) recompiles and :meth:`invalidate` drops the bundle
-        with everything else.  A generator/compile failure degrades to
-        interpreted dispatch: one :class:`RuntimeWarning`, a
-        ``compile_fallbacks`` tick, and a negative cache entry so the
-        failure is not retried (and not re-warned) every call.
-        """
-        if not self.compile_kernels:
-            return None
-        akey = (mat_fp, self._device_fp, "compiled:sparse")
-        with self._lock:
-            art = self._artifacts.get(akey)
-            if art is not None:
-                self._artifacts.move_to_end(akey)
-                self._stats.artifact_hits += 1
-                return art.value          # None = memoized compile failure
-        try:
-            with trace.span("kernel-compile", "engine",
-                            kind="compiled:sparse") as sp:
-                splan = getattr(prof, "spmv_plan", None) \
-                    or self._spmv_plan_for(X, mat_fp)
-                params = entry.params
-                bundle = codegen.CompiledSparseKernels(
-                    X, splan,
-                    vs=params.vector_size if params is not None else 32,
-                    c=params.coarsening if params is not None else 1)
-                sp.set("tag", bundle.tag)
-                sp.count(fresh_compiles=bundle.fresh_compiles,
-                         bytes_built=bundle.nbytes)
-        except Exception as exc:  # noqa: BLE001 - any failure must degrade
-            warnings.warn(
-                f"sparse kernel compilation failed ({exc!r}); "
-                f"falling back to interpreted dispatch", RuntimeWarning,
-                stacklevel=2)
-            with self._lock:
-                self._stats.compile_fallbacks += 1
-            self._store_profile(akey, "compiled:sparse", None, 256,
-                                count_as=None)
-            return None
-        self._store_profile(akey, "compiled:sparse", bundle,
-                            int(bundle.nbytes),
-                            count_as="compiled_kernels_built")
-        return bundle
-
     def _store_profile(self, akey: tuple, kind: str, value: object,
-                       nbytes: int,
-                       count_as: str | None = "profiles_built") -> None:
+                       nbytes: int) -> None:
         with self._lock:
             if akey in self._artifacts:       # lost a build race: keep first
                 return
             self._stats.artifact_misses += 1
-            if count_as is not None:
-                setattr(self._stats, count_as,
-                        getattr(self._stats, count_as) + 1)
+            self._stats.profiles_built += 1
             self._artifacts[akey] = ArtifactEntry(kind, value, nbytes, 0.0)
             self._artifact_bytes += nbytes
             while (self._artifact_bytes > self.max_artifact_bytes

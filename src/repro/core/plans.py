@@ -52,7 +52,7 @@ class FusedPlan(Plan):
     name = "fused"
 
     def evaluate(self, p: GenericPattern, *,
-                 params=None, profile=None, compiled=None) -> KernelResult:
+                 params=None, profile=None) -> KernelResult:
         """``params`` lets a session (:class:`~repro.core.engine.
         PatternEngine`) pass pre-resolved §3.3 parameters instead of
         re-tuning on every call; ``profile`` additionally supplies the
@@ -60,17 +60,14 @@ class FusedPlan(Plan):
         :class:`~repro.kernels.sparse_fused.SparseFusedProfile`, dense
         :class:`~repro.kernels.dense_fused.DenseFusedProfile`, or
         :class:`~repro.kernels.dense_baseline.GemvProfile` for the
-        unfused dense transpose route).  ``compiled`` supplies an
-        engine-cached :class:`~repro.kernels.codegen.
-        CompiledSparseKernels` bundle for AOT dispatch (sparse only)."""
+        unfused dense transpose route)."""
         if p.is_sparse:
             if params is None and profile is None:
                 params = tune_sparse(p.X, self.ctx.device,
                                      force_variant=self.force_variant)
             if not p.inner:
                 res = sparse_fused.xt_spmv_fused(p.X, p.y, self.ctx, params,
-                                                 profile=profile,
-                                                 compiled=compiled)
+                                                 profile=profile)
                 if p.alpha != 1.0:
                     res.output = p.alpha * res.output
                 if p.beta != 0.0:
@@ -79,7 +76,7 @@ class FusedPlan(Plan):
                 return res
             return sparse_fused.fused_pattern_sparse(
                 p.X, p.y, p.v, p.z, p.alpha, p.beta, self.ctx, params,
-                profile=profile, compiled=compiled)
+                profile=profile)
         Xd = np.asarray(p.X, dtype=np.float64)
         if not p.inner:
             # the paper does not fuse dense X^T x y (cuBLAS is already good)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,9 +41,6 @@ from .base import DEFAULT_CONTEXT, GpuContext, KernelResult, finish
 from .blas1 import _launch_for
 from .dense_baseline import gemv_n, gemv_t
 from .sparse_baseline import CsrmvProfile, csrmv, csrmv_transpose
-
-if TYPE_CHECKING:
-    from .codegen import CompiledSparseKernels
 
 _D = 8
 
@@ -194,27 +190,22 @@ def fused_rowagg(mat: CsrMatrix | np.ndarray, vec: np.ndarray,
                  transpose: bool = False,
                  profile: CsrmvProfile | None = None,
                  vs: int | None = None,
-                 tl: int | None = None,
-                 compiled: "CompiledSparseKernels | None" = None
-                 ) -> KernelResult:
+                 tl: int | None = None) -> KernelResult:
     """Matrix-vector product with a fused cell-wise epilogue.
 
     ``program`` input 0 is the matvec result; inputs ``1..k`` are
     ``extras``.  The epilogue folds into the producing kernel's output
     store, so the only added traffic is reading the extra operands (plus
     the epilogue flops) — the intermediate is never materialized.
-    ``compiled`` routes the sparse matvec through the engine-cached AOT
-    kernel (dense inputs ignore it).
     """
     from .codegen import ensure_cellwise_kernel
     if program.n_inputs != len(extras) + 1:
         raise ValueError(f"program expects {program.n_inputs} inputs, got "
                          f"{len(extras)} extras + the matvec result")
     if isinstance(mat, CsrMatrix):
-        base = (csrmv_transpose(mat, vec, ctx, profile=profile,
-                                compiled=compiled) if transpose
+        base = (csrmv_transpose(mat, vec, ctx, profile=profile) if transpose
                 else csrmv(mat, vec, ctx, texture=ctx.use_texture_cache,
-                           profile=profile, compiled=compiled))
+                           profile=profile))
     else:
         X = np.asarray(mat, dtype=np.float64)
         base = gemv_t(X, vec, ctx) if transpose else gemv_n(X, vec, ctx)

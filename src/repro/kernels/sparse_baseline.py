@@ -24,7 +24,6 @@ results are identical by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,9 +38,6 @@ from ..sparse.csr import CsrMatrix
 from ..sparse.ops import SpmvPlan
 from .base import (DEFAULT_CONTEXT, SPARSE_STREAM_DERATE, GpuContext,
                    KernelResult, finish)
-
-if TYPE_CHECKING:
-    from .codegen import CompiledSparseKernels
 
 _D = 8   # sizeof(double)
 _I = 4   # sizeof(int) on device
@@ -177,25 +173,14 @@ def profile_csrmv(X: CsrMatrix, ctx: GpuContext = DEFAULT_CONTEXT,
 def csrmv(X: CsrMatrix, y: np.ndarray,
           ctx: GpuContext = DEFAULT_CONTEXT,
           texture: bool = False,
-          profile: CsrmvProfile | None = None,
-          compiled: "CompiledSparseKernels | None" = None) -> KernelResult:
-    """cuSPARSE-like ``X @ y`` (CSR-vector with warp reduction).
-
-    ``compiled`` dispatches the numeric side through the generated AOT
-    kernel (bit-identical); event accounting is dispatch-independent.
-    """
+          profile: CsrmvProfile | None = None) -> KernelResult:
+    """cuSPARSE-like ``X @ y`` (CSR-vector with warp reduction)."""
     if profile is None:
         profile = profile_csrmv(X, ctx)
     pr = profile
-    if compiled is not None:
-        with trace.span("spmv", "kernel", kernel="cusparse.csrmv",
-                        compiled=True) as sp:
-            out = compiled.spmv(y)
-            sp.count(nnz=pr.nnz)
-    else:
-        with trace.span("spmv", "kernel", kernel="cusparse.csrmv") as sp:
-            out = pr.spmv_plan.spmv(y)
-            sp.count(nnz=pr.nnz)
+    with trace.span("spmv", "kernel", kernel="cusparse.csrmv") as sp:
+        out = pr.spmv_plan.spmv(y)
+        sp.count(nnz=pr.nnz)
     c = PerfCounters()
     c.global_load_transactions = (
         pr.tx_values                       # values
@@ -215,9 +200,7 @@ def csrmv(X: CsrMatrix, y: np.ndarray,
 
 def csrmv_transpose(X: CsrMatrix, p: np.ndarray,
                     ctx: GpuContext = DEFAULT_CONTEXT,
-                    profile: CsrmvProfile | None = None,
-                    compiled: "CompiledSparseKernels | None" = None
-                    ) -> KernelResult:
+                    profile: CsrmvProfile | None = None) -> KernelResult:
     """cuSPARSE-like transpose-mode SpMV: ``X^T @ p`` on the CSR arrays.
 
     Structural cost story (cuSPARSE is closed-source; the paper infers the
@@ -229,17 +212,10 @@ def csrmv_transpose(X: CsrMatrix, p: np.ndarray,
     if profile is None:
         profile = profile_csrmv(X, ctx)
     pr = profile
-    if compiled is not None:
-        with trace.span("xt-accumulate", "kernel",
-                        kernel="cusparse.csrmv_transpose",
-                        compiled=True) as sp:
-            out = compiled.spmv_t(p)
-            sp.count(nnz=pr.nnz)
-    else:
-        with trace.span("xt-accumulate", "kernel",
-                        kernel="cusparse.csrmv_transpose") as sp:
-            out = pr.spmv_plan.spmv_t(p)
-            sp.count(nnz=pr.nnz)
+    with trace.span("xt-accumulate", "kernel",
+                    kernel="cusparse.csrmv_transpose") as sp:
+        out = pr.spmv_plan.spmv_t(p)
+        sp.count(nnz=pr.nnz)
     c = PerfCounters()
     c.global_load_transactions = (
         pr.tx_values                       # values

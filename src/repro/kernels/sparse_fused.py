@@ -43,7 +43,6 @@ from ..sparse.ops import SpmvPlan
 from ..tuning.sparse_params import SparseParams, tune_sparse
 from .base import (DEFAULT_CONTEXT, SPARSE_STREAM_DERATE, GpuContext,
                    KernelResult, finish)
-from .codegen import CompiledSparseKernels
 from .sparse_baseline import vector_gather_transactions
 
 _D = 8
@@ -168,28 +167,14 @@ def profile_sparse_fused(X: CsrMatrix, ctx: GpuContext = DEFAULT_CONTEXT,
 def xt_spmv_fused(X: CsrMatrix, p: np.ndarray,
                   ctx: GpuContext = DEFAULT_CONTEXT,
                   params: SparseParams | None = None,
-                  profile: SparseFusedProfile | None = None,
-                  compiled: CompiledSparseKernels | None = None
-                  ) -> KernelResult:
-    """Algorithm 1: ``w = X^T x p`` without transposing ``X``.
-
-    With ``compiled`` (an engine-cached :class:`CompiledSparseKernels`
-    bundle) the numeric side dispatches to the generated AOT kernel;
-    outputs are bit-identical either way, so the event accounting below is
-    dispatch-independent.
-    """
+                  profile: SparseFusedProfile | None = None) -> KernelResult:
+    """Algorithm 1: ``w = X^T x p`` without transposing ``X``."""
     if profile is None:
         profile = profile_sparse_fused(X, ctx, params)
     pr = profile
-    if compiled is not None:
-        with trace.span("xt-accumulate", "kernel", variant=pr.variant,
-                        compiled=True) as sp:
-            out = compiled.spmv_t(p)
-            sp.count(nnz=pr.nnz)
-    else:
-        with trace.span("xt-accumulate", "kernel", variant=pr.variant) as sp:
-            out = pr.spmv_plan.spmv_t(p)
-            sp.count(nnz=pr.nnz)
+    with trace.span("xt-accumulate", "kernel", variant=pr.variant) as sp:
+        out = pr.spmv_plan.spmv_t(p)
+        sp.count(nnz=pr.nnz)
 
     c = PerfCounters()
     c.global_load_transactions = pr.first_pass + pr.m_stream       # X, p
@@ -222,17 +207,9 @@ def fused_pattern_sparse(X: CsrMatrix, y: np.ndarray,
                          alpha: float = 1.0, beta: float = 0.0,
                          ctx: GpuContext = DEFAULT_CONTEXT,
                          params: SparseParams | None = None,
-                         profile: SparseFusedProfile | None = None,
-                         compiled: CompiledSparseKernels | None = None
+                         profile: SparseFusedProfile | None = None
                          ) -> KernelResult:
-    """Algorithm 2: the complete fused pattern in one kernel launch.
-
-    With ``compiled`` the whole dataflow runs as one generated AOT kernel
-    specialized to the structure *and* the call shape (``v``/``beta``
-    presence), under a single span — just as the real fused kernel is one
-    launch.  Interpreted dispatch brackets each phase with its own span.
-    Outputs are bit-identical either way.
-    """
+    """Algorithm 2: the complete fused pattern in one kernel launch."""
     if beta != 0.0 and z is None:
         raise ValueError("beta != 0 requires z")
     if profile is None:
@@ -240,31 +217,25 @@ def fused_pattern_sparse(X: CsrMatrix, y: np.ndarray,
     pr = profile
 
     # ------- functional result (mirrors the kernel's dataflow) -------------
-    if compiled is not None:
-        with trace.span("fused-pattern", "kernel", variant=pr.variant,
-                        compiled=True) as sp:
-            w = compiled.fused(y, v, z, alpha, beta)
-            sp.count(nnz=pr.nnz)
-    else:
-        # each Algorithm-2 phase is bracketed by a span: the row pass (SpMV),
-        # the inter-vector scaling, the second row pass (X^T.t accumulation
-        # into the shared/global mirror), and the beta*z fold
-        with trace.span("spmv", "kernel", variant=pr.variant) as sp:
-            p = pr.spmv_plan.spmv(y)
-            sp.count(nnz=pr.nnz)
-        if v is not None:
-            if np.asarray(v).shape != (pr.m,):
-                raise ValueError(f"v must have shape ({pr.m},)")
-            with trace.span("inter-vector", "kernel") as sp:
-                p = p * np.asarray(v, dtype=np.float64)
-                sp.count(rows=pr.m)
-        with trace.span("xt-accumulate", "kernel", variant=pr.variant) as sp:
-            w = alpha * pr.spmv_plan.spmv_t(p)
-            sp.count(nnz=pr.nnz)
-        if beta != 0.0:
-            with trace.span("axpy", "kernel") as sp:
-                w = w + beta * np.asarray(z, dtype=np.float64)
-                sp.count(cols=pr.n)
+    # each Algorithm-2 phase is bracketed by a span: the row pass (SpMV),
+    # the inter-vector scaling, the second row pass (X^T.t accumulation
+    # into the shared/global mirror), and the beta*z fold
+    with trace.span("spmv", "kernel", variant=pr.variant) as sp:
+        p = pr.spmv_plan.spmv(y)
+        sp.count(nnz=pr.nnz)
+    if v is not None:
+        if np.asarray(v).shape != (pr.m,):
+            raise ValueError(f"v must have shape ({pr.m},)")
+        with trace.span("inter-vector", "kernel") as sp:
+            p = p * np.asarray(v, dtype=np.float64)
+            sp.count(rows=pr.m)
+    with trace.span("xt-accumulate", "kernel", variant=pr.variant) as sp:
+        w = alpha * pr.spmv_plan.spmv_t(p)
+        sp.count(nnz=pr.nnz)
+    if beta != 0.0:
+        with trace.span("axpy", "kernel") as sp:
+            w = w + beta * np.asarray(z, dtype=np.float64)
+            sp.count(cols=pr.n)
 
     # ------- event accounting: close the template over the call scalars ----
     c = PerfCounters()

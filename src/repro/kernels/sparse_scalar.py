@@ -13,7 +13,6 @@ below ~4 nnz/row, vector wins above) is reproduced by the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,9 +25,6 @@ from ..sparse.ops import SpmvPlan
 from .base import (DEFAULT_CONTEXT, SPARSE_STREAM_DERATE, GpuContext,
                    KernelResult, finish)
 from .sparse_baseline import vector_gather_transactions
-
-if TYPE_CHECKING:
-    from .codegen import CompiledSparseKernels
 
 _D = 8
 _I = 4
@@ -106,18 +102,12 @@ def profile_csrmv_scalar(X: CsrMatrix, ctx: GpuContext = DEFAULT_CONTEXT,
 
 def csrmv_scalar(X: CsrMatrix, y: np.ndarray,
                  ctx: GpuContext = DEFAULT_CONTEXT,
-                 profile: ScalarProfile | None = None,
-                 compiled: "CompiledSparseKernels | None" = None
-                 ) -> KernelResult:
-    """CSR-scalar ``X @ y``: one thread per row, uncoalesced row walks.
-
-    ``compiled`` dispatches through the generated AOT kernel
-    (bit-identical numerics; same event accounting).
-    """
+                 profile: ScalarProfile | None = None) -> KernelResult:
+    """CSR-scalar ``X @ y``: one thread per row, uncoalesced row walks."""
     if profile is None:
         profile = profile_csrmv_scalar(X, ctx)
     pr = profile
-    out = compiled.spmv(y) if compiled is not None else pr.spmv_plan.spmv(y)
+    out = pr.spmv_plan.spmv(y)
     c = PerfCounters()
     c.global_load_transactions = pr.load_transactions
     c.global_store_transactions = pr.m_stream

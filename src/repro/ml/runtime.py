@@ -123,8 +123,9 @@ class MLRuntime:
         """Charge the host-to-device transfer of an operand (Table 5).
 
         Uploading also pins the operand on the engine: device-resident data
-        is immutable from the host's point of view, so the engine memoizes
-        its fingerprint and serves compiled kernels without re-hashing.
+        is immutable from the host's point of view, so the engine freezes
+        it and memoizes its fingerprint instead of re-hashing it on every
+        call.  ``runtime.engine.unpin(X)`` makes it writable again.
         """
         if self.on_gpu:
             self.ledger.charge("transfer",

@@ -340,12 +340,6 @@ class ServeMetrics:
             counter("repro_engine_evictions_total",
                     "LRU evictions in the serving engine",
                     eng["evictions"])
-            counter("repro_engine_compiled_kernels_built_total",
-                    "AOT sparse-kernel bundles compiled by the engine",
-                    eng["compiled_kernels_built"])
-            counter("repro_engine_compile_fallbacks_total",
-                    "sparse compilations that fell back to interpreted",
-                    eng["compile_fallbacks"])
             lines.append("# HELP repro_engine_artifact_entries artifact-LRU "
                          "entries by kind")
             lines.append("# TYPE repro_engine_artifact_entries gauge")

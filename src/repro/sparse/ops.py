@@ -23,14 +23,11 @@ import numpy as np
 from .csr import CsrMatrix
 
 
-def check_vector(x: np.ndarray, size: int, name: str) -> np.ndarray:
+def _check_vector(x: np.ndarray, size: int, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {x.shape}")
     return x
-
-
-_check_vector = check_vector
 
 
 def spmv(X: CsrMatrix, y: np.ndarray) -> np.ndarray:
@@ -93,36 +90,16 @@ class SpmvPlan:
                    + self.nonempty.nbytes)
 
     def scratch(self) -> np.ndarray:
-        """Reusable O(nnz) product buffer (thread-local, see class docs).
+        """Reusable O(nnz) product buffer of the calling thread.
 
-        Public because the generated AOT kernels
-        (:mod:`repro.kernels.codegen`) execute the same gather/product in
-        the same buffer — one scratch discipline for both dispatch modes.
+        Allocated on a thread's first call and reused by every later
+        :meth:`spmv`/:meth:`spmv_t` on that thread (see class docs).
         """
         buf = getattr(self._tls, "buf", None)
         if buf is None:
             buf = np.empty(self.X.nnz, dtype=np.float64)
             self._tls.buf = buf
         return buf
-
-    _scratch = scratch
-
-    def codegen_constants(self) -> dict[str, np.ndarray]:
-        """The plan's index structure as codegen specialization constants.
-
-        These are bound (by reference, not copied) into the namespace of
-        generated sparse kernels: the value/index streams of the matrix and
-        the inspector products above.  Keys match the uppercase globals the
-        generated source references.
-        """
-        X = self.X
-        return {
-            "VALUES": X.values,
-            "COL_IDX": X.col_idx,
-            "STARTS": self.starts,
-            "NONEMPTY": self.nonempty,
-            "ROW_EXPAND": self.row_expand,
-        }
 
     def spmv(self, y: np.ndarray, out: np.ndarray | None = None
              ) -> np.ndarray:
@@ -135,7 +112,7 @@ class SpmvPlan:
             out.fill(0.0)
         if X.nnz == 0 or X.m == 0:
             return out
-        prod = self._scratch()
+        prod = self.scratch()
         np.take(y, X.col_idx, out=prod)
         np.multiply(X.values, prod, out=prod)
         out[self.nonempty] = np.add.reduceat(prod, self.starts)
@@ -147,7 +124,7 @@ class SpmvPlan:
         p = _check_vector(p, X.m, "p")
         if X.nnz == 0:
             return np.zeros(X.n, dtype=np.float64)
-        scaled = self._scratch()
+        scaled = self.scratch()
         np.take(p, self.row_expand, out=scaled)
         np.multiply(X.values, scaled, out=scaled)
         return np.bincount(X.col_idx, weights=scaled, minlength=X.n)

@@ -61,24 +61,24 @@ def evaluate_dag(root: Node, env: dict,
         memo[id(nd)] = val
         return val
 
-    return ev(root)
+    try:
+        return ev(root)
+    finally:
+        # ``ev`` reaches itself through its own closure cell; unbinding it
+        # breaks that cycle, so the memo of intermediates (and the engine)
+        # are freed by reference counting instead of waiting for the GC
+        del ev
 
 
 def _vec(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _matvec(X, y, transpose: bool, ctx: GpuContext,
-            engine=None) -> KernelResult:
+def _matvec(X, y, transpose: bool, ctx: GpuContext) -> KernelResult:
     if isinstance(X, CsrMatrix):
-        # engine-pinned matrices dispatch through the cached AOT bundle
-        # (hash-free lookup; None when unpinned or not yet compiled)
-        compiled = (engine.compiled_for_pinned(X)
-                    if engine is not None else None)
         if transpose:
-            return csrmv_transpose(X, y, ctx, compiled=compiled)
-        return csrmv(X, y, ctx, texture=ctx.use_texture_cache,
-                     compiled=compiled)
+            return csrmv_transpose(X, y, ctx)
+        return csrmv(X, y, ctx, texture=ctx.use_texture_cache)
     Xd = np.asarray(X, dtype=np.float64)
     return gemv_t(Xd, y, ctx) if transpose else gemv_n(Xd, y, ctx)
 
@@ -89,9 +89,8 @@ def _dispatch(nd: Node, ev, env: dict, ctx: GpuContext, engine, record):
     if isinstance(nd, MatVec):
         y = _vec(ev(nd.vec))
         if isinstance(nd.mat, Transpose):
-            return record(_matvec(ev(nd.mat.child), y, True, ctx, engine),
-                          "mv")
-        return record(_matvec(ev(nd.mat), y, False, ctx, engine), "mv")
+            return record(_matvec(ev(nd.mat.child), y, True, ctx), "mv")
+        return record(_matvec(ev(nd.mat), y, False, ctx), "mv")
     if isinstance(nd, EwMul):
         return record(blas1.ewmul(_vec(ev(nd.a)), _vec(ev(nd.b)), ctx),
                       "blas1")
@@ -119,11 +118,7 @@ def _dispatch(nd: Node, ev, env: dict, ctx: GpuContext, engine, record):
         X = ev(nd.mat)
         y = _vec(ev(nd.vec))
         extras = [_vec(ev(e)) for e in nd.extras]
-        compiled = (engine.compiled_for_pinned(X)
-                    if engine is not None and isinstance(X, CsrMatrix)
-                    else None)
         return record(fused_rowagg(X, y, nd.program, extras, ctx,
-                                   transpose=nd.transpose,
-                                   compiled=compiled), "pattern")
+                                   transpose=nd.transpose), "pattern")
     # unknown node types fall back to their own reference eval
     return nd.eval(env)

@@ -20,13 +20,11 @@ the lowered DAG is indistinguishable from the pattern-matched one.
 order as the generated kernel, so plain ``root.eval(env)`` on a lowered
 DAG is bit-identical to executing it through the kernel layer.
 
-Lowered plans also pick up the AOT sparse-kernel layer transparently: when
-the DAG executor (:mod:`.executor`) runs a lowered node over a sparse
-matrix that is *pinned* on the session engine, the matvec inside
-``FusedRowAgg``/``MatVec`` — and the Eq.-1 ``FusedPattern`` path through
-the engine — dispatches to the engine-cached
-:class:`~repro.kernels.codegen.CompiledSparseKernels` bundle instead of
-interpreted kernels, with bit-identical results.
+The DAG executor (:mod:`.executor`) runs the matvec inside
+``FusedRowAgg``/``MatVec`` on the planned-SpMV kernels and sends Eq.-1
+``FusedPattern`` nodes through the session engine, whose pin memo
+(:meth:`~repro.core.engine.PatternEngine.pin`) serves a pinned matrix's
+fingerprint without re-hashing it on every call.
 """
 
 from __future__ import annotations

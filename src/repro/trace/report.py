@@ -103,16 +103,9 @@ def attribution(spans: list[Span], measured_ms: float) -> dict:
         _total(stats, "engine.evaluate")
     attributed = queue_wait + evaluate + completion
     profile_build = _total(stats, "engine.profile-build") \
-        + _total(stats, "engine.transpose-build") \
-        + _total(stats, "engine.kernel-compile")
+        + _total(stats, "engine.transpose-build")
     kernel = sum(st.total_ms for st in stats.values()
                  if st.category == "kernel")
-    # compiled-vs-interpreted split: AOT-dispatched kernel spans carry a
-    # compiled=True arg; everything else in the kernel category ran
-    # interpreted
-    kernel_compiled = sum(s.duration_ms for s in spans
-                          if s.category == "kernel"
-                          and s.args.get("compiled"))
     return {
         "measured_ms": measured_ms,
         "attributed_ms": attributed,
@@ -122,8 +115,6 @@ def attribution(spans: list[Span], measured_ms: float) -> dict:
         "completion_ms": completion,
         "profile_build_ms": profile_build,
         "kernel_execute_ms": kernel,
-        "kernel_compiled_ms": kernel_compiled,
-        "kernel_interpreted_ms": max(0.0, kernel - kernel_compiled),
         "evaluate_other_ms": max(0.0, evaluate - profile_build - kernel),
     }
 
@@ -137,9 +128,6 @@ def attribution_text(att: dict) -> str:
         f"  evaluate:         {att['evaluate_ms']:10.3f} ms",
         f"    profile-build:  {att['profile_build_ms']:10.3f} ms",
         f"    kernel-execute: {att['kernel_execute_ms']:10.3f} ms",
-        f"      compiled:     {att.get('kernel_compiled_ms', 0.0):10.3f} ms",
-        f"      interpreted:  "
-        f"{att.get('kernel_interpreted_ms', 0.0):10.3f} ms",
         f"    other (plan/fingerprint/dispatch): "
         f"{att['evaluate_other_ms']:.3f} ms",
         f"  completion-wait:  {att['completion_ms']:10.3f} ms",

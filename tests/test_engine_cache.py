@@ -1,5 +1,10 @@
 """Unit tests for the PatternEngine session layer: cache mechanics, LRU
-bounds, invalidation, stats accounting, and the batched API."""
+bounds, invalidation, pinning, stats accounting, memory release, and the
+batched API."""
+
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +15,11 @@ from repro.core.api import evaluate as evaluate_uncached
 from repro.kernels import codegen
 from repro.kernels.base import GpuContext
 from repro.gpu.device import GTX_TITAN, K20X
+from repro.ml.linreg import linreg_cg
+from repro.ml.runtime import MLRuntime
+from repro.serve.metrics import ServeMetrics
 from repro.sparse import CsrMatrix, random_csr
+from repro.systemml.runner import SystemMLSession
 
 
 @pytest.fixture
@@ -137,6 +146,89 @@ class TestArtifacts:
         assert engine.stats().kernels_compiled == 1
 
 
+class TestPinnedFingerprint:
+    def test_pin_skips_hashing_and_freezes(self):
+        engine = PatternEngine()
+        X = random_csr(70, 22, 0.2, rng=41)
+        y = np.ones(X.n)
+        engine.pin(X)
+        engine.evaluate(X, y, strategy="fused")
+        engine.evaluate(X, y, strategy="fused")
+        assert engine.stats().pinned_fingerprint_hits >= 2
+        with pytest.raises(ValueError):       # frozen: mutation must raise
+            X.values[0] = 99.0
+        engine.unpin(X)
+        X.values[0] = 99.0                    # writability restored
+
+    def test_invalidate_unpins(self):
+        engine = PatternEngine()
+        X = random_csr(30, 10, 0.3, rng=42)
+        engine.pin(X)
+        engine.invalidate(X)
+        X.values[0] = 1.0                     # must not raise
+
+    def test_pin_dense_matrix(self):
+        # ndarrays aren't weakref-able: pin falls back to a strong ref
+        engine = PatternEngine()
+        X = np.random.default_rng(43).normal(size=(20, 8))
+        engine.pin(X)
+        with pytest.raises(ValueError):
+            X[0, 0] = 1.0
+        engine.unpin(X)
+        X[0, 0] = 1.0
+
+
+@pytest.fixture
+def no_gc():
+    """Disable the cyclic collector: what survives is held by a live
+    reference or a reference cycle, never by collection timing."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestMemoryRelease:
+    def test_mlruntime_engine_freed_after_pinned_solve(self, no_gc):
+        X = random_csr(300, 40, 0.1, rng=61)
+        y = np.random.default_rng(61).normal(size=X.m)
+        rt = MLRuntime("gpu-fused")
+        linreg_cg(X, y, runtime=rt, max_iterations=5)   # upload pins X
+        assert rt.engine.stats().pinned_fingerprint_hits > 0
+        engine = weakref.ref(rt.engine)
+        del rt
+        assert engine() is None
+
+    def test_systemml_engine_freed_after_dag_solve(self, no_gc):
+        X = random_csr(300, 40, 0.1, rng=62)
+        y = np.random.default_rng(62).normal(size=X.m)
+        session = SystemMLSession("gpu-fused", fuse="auto")
+        session.run_linreg_cg(X, y, max_iterations=5)
+        assert session.engine.stats().fusion_plans_built > 0
+        engine = weakref.ref(session.engine)
+        del session
+        assert engine() is None
+
+    def test_artifact_budget_bounds_retained_memory(self, no_gc):
+        budget = 2 * 1024 * 1024
+        mats = [random_csr(2000, 96, 0.05, rng=s) for s in range(24)]
+        ys = [np.random.default_rng(s).normal(size=96) for s in range(24)]
+        tracemalloc.start()
+        try:
+            engine = PatternEngine(max_artifact_bytes=budget)
+            for i in range(600):
+                engine.evaluate(mats[i % 24], ys[i % 24], strategy="fused")
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert engine.stats().evictions > 0           # the LRU was full
+        assert retained <= 2 * budget, retained
+
+
 class TestBatched:
     def test_results_in_request_order_and_bit_identical(self, engine,
                                                         small_csr):
@@ -221,6 +313,26 @@ class TestStatsReport:
         for token in ("hit-rate", "bytes cached", "amortized speedup",
                       "transposes built"):
             assert token in text
+
+    def test_artifact_kind_composition(self):
+        engine = PatternEngine()
+        X = random_csr(40, 14, 0.3, rng=51)
+        engine.evaluate(X, np.ones(X.n), strategy="fused")
+        kinds = engine.stats().artifact_kinds
+        assert kinds == {"profile:fused-sparse": 1, "spmv-plan": 1}
+        report = engine.stats().report()
+        assert "artifact LRU composition:" in report
+        assert "profile:fused-sparse: 1 entries" in report
+        assert "pinned-fingerprint hits" in report
+
+    def test_prometheus_exports_artifact_kinds(self):
+        engine = PatternEngine()
+        X = random_csr(30, 10, 0.3, rng=52)
+        engine.evaluate(X, np.ones(X.n), strategy="fused")
+        text = ServeMetrics().to_prometheus(engine_stats=engine.stats())
+        assert ('repro_engine_artifact_entries{kind="profile:fused-sparse"} 1'
+                in text)
+        assert 'repro_engine_artifact_entries{kind="spmv-plan"} 1' in text
 
     def test_amortized_speedup_tracks_transpose_saving(self, engine,
                                                        medium_csr):

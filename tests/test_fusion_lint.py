@@ -32,11 +32,6 @@ FIXTURE_KINDS = {
     "cellwise_augassign_out.py": "codegen-accumulation",
     "cellwise_cross_slice_read.py": "codegen-accumulation",
     "cellwise_double_store.py": "codegen-coverage",
-    "sparse_loop_spmv.py": "codegen-flatness",
-    "sparse_dynamic_alloc.py": "codegen-nonconstant-index",
-    "sparse_scratch_hazard.py": "codegen-accumulation",
-    "sparse_flag_mismatch.py": "codegen-accumulation",
-    "sparse_foreign_call.py": "codegen-flatness",
 }
 
 PROGRAM = CellwiseProgram(
@@ -127,10 +122,9 @@ class TestFixtureCorpus:
 
     @pytest.mark.parametrize("name", sorted(FIXTURE_KINDS))
     def test_fixture_findings_are_located(self, name):
-        family = "sparse_" if name.startswith("sparse_") else "cellwise_"
         for f in analyze_file(CORPUS / name):
             assert f.line > 0
-            assert f.kernel.startswith(family)
+            assert f.kernel.startswith("cellwise_")
 
 
 class TestOptimizerEmittedSources:
