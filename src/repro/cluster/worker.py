@@ -5,8 +5,12 @@ Each shard is one OS process (its own GIL, its own
 :class:`WorkerHost`: an accept loop whose per-connection handler decodes
 length-prefixed messages and dispatches them —
 
-* ``upload``   — cache a matrix under its content fingerprint (bounded
-  LRU of matrices; the engine's own plan/artifact LRUs hang off it);
+* ``upload``   — pin the unpickled matrix on the engine (the worker owns
+  that copy), check its fingerprint against the router's, and cache it
+  under it (bounded LRU of matrices; the engine's own plan/artifact LRUs
+  hang off it).  A mismatch is answered with an error and nothing is
+  cached.  Admissions on a pinned matrix hit the pin memo, so an eval
+  never hashes its matrix;
 * ``eval``     — build a :class:`~repro.serve.request.ServeRequest` against
   the cached matrix and submit it to the embedded micro-batching server;
   the response is written back asynchronously when the serve future
@@ -95,11 +99,14 @@ class WorkerHost:
     def cache_matrix(self, fingerprint: str, matrix) -> None:
         evicted = []
         with self._matrices_lock:
+            replaced = self._matrices.get(fingerprint)
             self._matrices[fingerprint] = matrix
             self._matrices.move_to_end(fingerprint)
             cap = self.config.max_matrices
             while cap and len(self._matrices) > cap:
                 evicted.append(self._matrices.popitem(last=False)[1])
+        if replaced is not None and replaced is not matrix:
+            self.engine.unpin(replaced)   # a re-upload of the same content
         for X in evicted:        # drop the engine's derived state with it
             self.engine.invalidate(X)
 
@@ -149,8 +156,7 @@ class WorkerHost:
         if op == OP_EVAL:
             self._handle_eval(msg, rid, out)
         elif op == OP_UPLOAD:
-            self.cache_matrix(msg["fingerprint"], msg["matrix"])
-            out.put({"op": OP_OK, "rid": rid})
+            self._handle_upload(msg, rid, out)
         elif op == OP_PING:
             out.put({"op": OP_PONG, "rid": rid,
                      "shard": self.config.shard_id,
@@ -173,6 +179,20 @@ class WorkerHost:
             out.put({"op": OP_RESULT, "rid": rid, "status": "error",
                      "reason": f"unknown op {op!r}"})
         return True
+
+    def _handle_upload(self, msg: dict, rid, out: queue.Queue) -> None:
+        fp, matrix = msg["fingerprint"], msg["matrix"]
+        # this process owns the unpickled copy, so it may freeze it: the
+        # pin's one hash checks the frame, and every eval on the matrix
+        # then hits the pin memo instead of hashing
+        if self.engine.pin(matrix) != fp:
+            self.engine.unpin(matrix)
+            out.put({"op": OP_RESULT, "rid": rid, "status": "error",
+                     "reason": f"uploaded matrix does not match "
+                               f"fingerprint {fp}"})
+            return
+        self.cache_matrix(fp, matrix)
+        out.put({"op": OP_OK, "rid": rid})
 
     def _handle_eval(self, msg: dict, rid, out: queue.Queue) -> None:
         fp = msg["fingerprint"]

@@ -21,6 +21,9 @@ arXiv:1801.00829):
   profiles and planned-SpMV indices are built once per matrix;
 * **pinning** — :meth:`~PatternEngine.pin` freezes a matrix and memoizes
   its fingerprint, so warm calls on it skip the content hash;
+* **one identity per request** — :meth:`~PatternEngine.fingerprint` is the
+  one place a matrix's identity is computed; a :class:`PatternRequest`
+  that carries it is evaluated under it without hashing again;
 * **LRU bounds** — plan entries and artifact bytes are capped, with
   explicit :meth:`~PatternEngine.invalidate` / :meth:`~PatternEngine.clear`;
 * **batched evaluation** — :meth:`~PatternEngine.evaluate_many` runs
@@ -116,7 +119,14 @@ class ArtifactEntry:
 
 @dataclass
 class PatternRequest:
-    """One independent evaluation request for :meth:`evaluate_many`."""
+    """One independent evaluation request for :meth:`evaluate_many`.
+
+    ``fingerprint``, when set, is the identity of ``X`` as returned by
+    :meth:`PatternEngine.fingerprint` when the request was admitted; the
+    engine evaluates the request under it instead of hashing ``X`` again.
+    A request is evaluated under the identity it was admitted with:
+    mutating ``X`` between admission and evaluation is the caller's race.
+    """
 
     X: CsrMatrix | np.ndarray
     y: np.ndarray
@@ -126,6 +136,7 @@ class PatternRequest:
     beta: float = 0.0
     inner: bool = True
     strategy: str = "auto"
+    fingerprint: str | None = None
 
     def pattern(self) -> GenericPattern:
         return GenericPattern(self.X, self.y, v=self.v, z=self.z,
@@ -154,7 +165,7 @@ class EngineStats:
     artifact_hits: int = 0
     artifact_misses: int = 0
     transposes_built: int = 0
-    profiles_built: int = 0
+    profiles_built: int = 0          # kernel profiles (``profile:*``) only
     kernels_compiled: int = 0
     pinned_fingerprint_hits: int = 0
     fusion_plans_built: int = 0
@@ -299,8 +310,10 @@ class PatternEngine:
 
         ``requests`` is a sequence of :class:`PatternRequest`, mappings with
         the same field names, or prepared :class:`GenericPattern` objects.
-        Results come back in request order, each with its own wall-clock
-        timing and a flag saying whether it was served warm.
+        A request that carries a ``fingerprint`` is evaluated under it
+        without hashing its matrix.  Results come back in request order,
+        each with its own wall-clock timing and a flag saying whether it
+        was served warm.
         """
         items = [self._coerce_request(r) for r in requests]
         if not items:
@@ -313,12 +326,12 @@ class PatternEngine:
             parent = trace.current_id()
 
             def run(idx_req):
-                idx, (p, strategy) = idx_req
+                idx, (p, strategy, mat_fp) = idx_req
                 started = time.monotonic()
                 t0 = time.perf_counter()
                 with trace.span("request", "engine", parent=parent,
                                 index=idx):
-                    res, cached = self._evaluate(p, strategy)
+                    res, cached = self._evaluate(p, strategy, mat_fp)
                 wall = (time.perf_counter() - t0) * 1e3
                 return BatchResult(idx, res, wall, cached, started)
 
@@ -427,7 +440,17 @@ class PatternEngine:
             self._artifacts.clear()
             self._artifact_bytes = 0
 
-    # ---------------------------------------------------- pinned fingerprints
+    # ------------------------------------------------------ matrix identity
+    def fingerprint(self, X: CsrMatrix | np.ndarray) -> str:
+        """Identity of ``X`` in this engine's caches.
+
+        The pin memo while ``X`` is pinned, one content hash otherwise.
+        Serving paths compute it once per request, at admission, and
+        carry it in :attr:`PatternRequest.fingerprint`, so evaluation does
+        not hash the matrix a second time.
+        """
+        return self._fingerprint(X)[0]
+
     def pin(self, X: CsrMatrix | np.ndarray) -> str:
         """Freeze ``X`` and memoize its content fingerprint.
 
@@ -437,14 +460,16 @@ class PatternEngine:
         backing array is marked read-only, so the in-place mutation that
         fingerprinting exists to detect raises instead of silently
         invalidating the memo.  :meth:`unpin` (or :meth:`invalidate`)
-        restores writability.  Unpinned matrices keep the full
-        hash-per-call semantics unchanged.  A sparse ``X`` is held weakly
-        and its memo drops itself when ``X`` dies; that callback reaches
-        the engine only weakly, so a pin never keeps a dropped engine (and
-        its caches) alive.
+        makes writable again exactly the arrays the pin froze, so an
+        array the caller had frozen stays frozen.  Unpinned matrices keep
+        the full hash-per-call semantics unchanged.  A sparse ``X`` is
+        held weakly and its memo drops itself when ``X`` dies; that
+        callback reaches the engine only weakly, so a pin never keeps a
+        dropped engine (and its caches) alive.
         """
         arrays = self._backing_arrays(X)
-        for a in arrays:
+        froze = [a for a in arrays if a.flags.writeable]
+        for a in froze:
             a.flags.writeable = False
         fp = fingerprint_matrix(X)
         key = id(X)
@@ -462,19 +487,31 @@ class PatternEngine:
             # id() stable (the pin holds the matrix alive until unpin)
             ref = (lambda obj: (lambda: obj))(X)
         with self._lock:
-            self._pinned[key] = (ref, fp, arrays)
+            # a broken earlier pin of X, or a racing one, froze arrays too:
+            # keep them, so that unpin thaws every array a pin froze
+            prior = self._pinned.get(key)
+            if prior is not None and prior[0]() is X:
+                froze += [a for a in prior[3]
+                          if all(a is not b for b in froze)]
+            # analyze: allow(lock-drop-reentry)
+            self._pinned[key] = (ref, fp, arrays, tuple(froze))
         return fp
 
     def unpin(self, X: CsrMatrix | np.ndarray) -> None:
-        """Drop the fingerprint memo and restore array writability."""
+        """Drop the fingerprint memo and thaw the arrays the pin froze."""
         with self._lock:
             entry = self._pinned.pop(id(X), None)
         if entry is not None:
-            for a in entry[2]:
+            for a in entry[3]:
                 try:
                     a.flags.writeable = True
                 except ValueError:       # view of a buffer we do not own
                     pass
+
+    def is_pinned(self, X: CsrMatrix | np.ndarray) -> bool:
+        """True while ``X`` holds an intact pin on this engine."""
+        with self._lock:
+            return self._memo(X) is not None
 
     @staticmethod
     def _backing_arrays(X: CsrMatrix | np.ndarray) -> tuple[np.ndarray, ...]:
@@ -482,42 +519,46 @@ class PatternEngine:
             return (X.values, X.col_idx, X.row_off)
         return (np.asarray(X),)
 
+    def _memo(self, X: CsrMatrix | np.ndarray) -> str | None:
+        """The pin memo of ``X`` while its pin is intact (lock held).
+
+        Intact means same object, same backing arrays, still read-only.
+        Anything else — including a rebind of ``X.values`` to a fresh
+        writable array — yields ``None``.  A broken pin's entry stays
+        until :meth:`unpin`, which still thaws what the pin froze.
+        """
+        entry = self._pinned.get(id(X))
+        if entry is None or entry[0]() is not X:
+            return None
+        current = self._backing_arrays(X)
+        if len(current) != len(entry[2]) or not all(
+                c is a and not a.flags.writeable
+                for c, a in zip(current, entry[2])):
+            return None
+        return entry[1]
+
     def _fingerprint(self, X: CsrMatrix | np.ndarray) -> tuple[str, bool]:
         """Content fingerprint; memoized (no hashing) for pinned matrices.
 
-        Returns ``(fingerprint, was_pinned)``.  The memo is honoured only
-        while the pin is intact: same object, same backing arrays, still
-        read-only.  Anything else — including a rebind of ``X.values`` to a
-        fresh writable array — falls back to full hashing.
+        Returns ``(fingerprint, was_pinned)``; see :meth:`_memo` for when
+        the memo is honoured.
         """
         with self._lock:
-            entry = self._pinned.get(id(X))
-            if entry is not None:
-                ref, fp, arrays = entry
-                if ref() is X and self._pin_intact(X, arrays):
-                    self._stats.pinned_fingerprint_hits += 1
-                    return fp, True
-                self._pinned.pop(id(X), None)
+            fp = self._memo(X)
+            if fp is not None:
+                self._stats.pinned_fingerprint_hits += 1
+                return fp, True
         return fingerprint_matrix(X), False
-
-    @staticmethod
-    def _pin_intact(X: CsrMatrix | np.ndarray, arrays: tuple) -> bool:
-        current = PatternEngine._backing_arrays(X)
-        if len(current) != len(arrays):
-            return False
-        return all(c is a and not a.flags.writeable
-                   for c, a in zip(current, arrays))
 
     # -------------------------------------------------------------- internals
     @staticmethod
-    def _coerce_request(r) -> tuple[GenericPattern, str]:
+    def _coerce_request(r) -> tuple[GenericPattern, str, str | None]:
         if isinstance(r, GenericPattern):
-            return r, "auto"
-        if isinstance(r, PatternRequest):
-            return r.pattern(), r.strategy
+            return r, "auto", None
         if isinstance(r, dict):
-            req = PatternRequest(**r)
-            return req.pattern(), req.strategy
+            r = PatternRequest(**r)
+        if isinstance(r, PatternRequest):
+            return r.pattern(), r.strategy, r.fingerprint
         raise TypeError(
             "requests must be PatternRequest, GenericPattern, or dict, "
             f"got {type(r).__name__}")
@@ -527,17 +568,19 @@ class PatternEngine:
         return (mat_fp, self._device_fp, p.is_sparse, p.inner,
                 p.v is not None, p.beta != 0.0, strategy)
 
-    def _evaluate(self, p: GenericPattern,
-                  strategy: str) -> tuple[KernelResult, bool]:
+    def _evaluate(self, p: GenericPattern, strategy: str,
+                  mat_fp: str | None = None) -> tuple[KernelResult, bool]:
         span = trace.span("evaluate", "engine", strategy=strategy)
         with span:
-            return self._evaluate_traced(p, strategy, span)
+            return self._evaluate_traced(p, strategy, mat_fp, span)
 
     def _evaluate_traced(self, p: GenericPattern, strategy: str,
+                         mat_fp: str | None,
                          span) -> tuple[KernelResult, bool]:
-        with trace.span("fingerprint", "engine") as fsp:
-            mat_fp, pinned = self._fingerprint(p.X)
-            fsp.set("pinned", pinned)
+        if mat_fp is None:               # not carried in from admission
+            with trace.span("fingerprint", "engine") as fsp:
+                mat_fp, pinned = self._fingerprint(p.X)
+                fsp.set("pinned", pinned)
         key = self._plan_key(p, mat_fp, strategy)
         with self._lock:
             entry = self._plans.get(key)
@@ -737,7 +780,8 @@ class PatternEngine:
             if akey in self._artifacts:       # lost a build race: keep first
                 return
             self._stats.artifact_misses += 1
-            self._stats.profiles_built += 1
+            if kind.startswith("profile:"):   # not spmv- or fusion-plans
+                self._stats.profiles_built += 1
             self._artifacts[akey] = ArtifactEntry(kind, value, nbytes, 0.0)
             self._artifact_bytes += nbytes
             while (self._artifact_bytes > self.max_artifact_bytes

@@ -174,7 +174,11 @@ def fused_pattern_dense(X: np.ndarray, y: np.ndarray,
     vv = None if v is None else np.asarray(v, dtype=np.float64)
     with trace.span("fused-dense", "kernel",
                     kernel="fused.pattern_dense") as sp:
-        pr.kernel(pr.x_padded, yp, vv, alpha, out_padded)
+        # unpadded, x_padded is the array that built the profile, and a
+        # content-keyed cache hands the profile to content-equal arrays
+        # too: multiply the caller's own
+        xk = X if pr.x_padded.shape[1] == n else pr.x_padded
+        pr.kernel(xk, yp, vv, alpha, out_padded)
         w = out_padded[:n].copy()
         sp.count(elements=m * n)
 

@@ -179,7 +179,7 @@ def csrmv(X: CsrMatrix, y: np.ndarray,
         profile = profile_csrmv(X, ctx)
     pr = profile
     with trace.span("spmv", "kernel", kernel="cusparse.csrmv") as sp:
-        out = pr.spmv_plan.spmv(y)
+        out = pr.spmv_plan.spmv(y, X=X)
         sp.count(nnz=pr.nnz)
     c = PerfCounters()
     c.global_load_transactions = (
@@ -214,7 +214,7 @@ def csrmv_transpose(X: CsrMatrix, p: np.ndarray,
     pr = profile
     with trace.span("xt-accumulate", "kernel",
                     kernel="cusparse.csrmv_transpose") as sp:
-        out = pr.spmv_plan.spmv_t(p)
+        out = pr.spmv_plan.spmv_t(p, X=X)
         sp.count(nnz=pr.nnz)
     c = PerfCounters()
     c.global_load_transactions = (

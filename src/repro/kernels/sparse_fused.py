@@ -173,7 +173,7 @@ def xt_spmv_fused(X: CsrMatrix, p: np.ndarray,
         profile = profile_sparse_fused(X, ctx, params)
     pr = profile
     with trace.span("xt-accumulate", "kernel", variant=pr.variant) as sp:
-        out = pr.spmv_plan.spmv_t(p)
+        out = pr.spmv_plan.spmv_t(p, X=X)
         sp.count(nnz=pr.nnz)
 
     c = PerfCounters()
@@ -221,7 +221,7 @@ def fused_pattern_sparse(X: CsrMatrix, y: np.ndarray,
     # the inter-vector scaling, the second row pass (X^T.t accumulation
     # into the shared/global mirror), and the beta*z fold
     with trace.span("spmv", "kernel", variant=pr.variant) as sp:
-        p = pr.spmv_plan.spmv(y)
+        p = pr.spmv_plan.spmv(y, X=X)
         sp.count(nnz=pr.nnz)
     if v is not None:
         if np.asarray(v).shape != (pr.m,):
@@ -230,7 +230,7 @@ def fused_pattern_sparse(X: CsrMatrix, y: np.ndarray,
             p = p * np.asarray(v, dtype=np.float64)
             sp.count(rows=pr.m)
     with trace.span("xt-accumulate", "kernel", variant=pr.variant) as sp:
-        w = alpha * pr.spmv_plan.spmv_t(p)
+        w = alpha * pr.spmv_plan.spmv_t(p, X=X)
         sp.count(nnz=pr.nnz)
     if beta != 0.0:
         with trace.span("axpy", "kernel") as sp:

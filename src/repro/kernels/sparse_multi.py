@@ -81,10 +81,10 @@ def fused_pattern_multi(X: CsrMatrix, Y: np.ndarray,
     # ---- functional result --------------------------------------------------
     W = np.empty((X.n, k), dtype=np.float64)
     for j in range(k):
-        p = pr.spmv_plan.spmv(Y[:, j])
+        p = pr.spmv_plan.spmv(Y[:, j], X=X)
         if V is not None:
             p = p * V[:, j]
-        W[:, j] = alpha * pr.spmv_plan.spmv_t(p)
+        W[:, j] = alpha * pr.spmv_plan.spmv_t(p, X=X)
         if beta != 0.0:
             W[:, j] += beta * Z[:, j]
 

@@ -107,7 +107,7 @@ def csrmv_scalar(X: CsrMatrix, y: np.ndarray,
     if profile is None:
         profile = profile_csrmv_scalar(X, ctx)
     pr = profile
-    out = pr.spmv_plan.spmv(y)
+    out = pr.spmv_plan.spmv(y, X=X)
     c = PerfCounters()
     c.global_load_transactions = pr.load_transactions
     c.global_store_transactions = pr.m_stream

@@ -59,48 +59,48 @@ def glm_irls(X, target, family: str = "poisson",
         raise ValueError(f"target must have shape ({m},)")
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
-    if include_transfer:
-        rt.upload(X)
+    with rt.resident(X, include_transfer):
 
-    w = np.zeros(n, dtype=np.float64)
-    total_cg = 0
-    it = 0
-    resid_sq = np.inf
-    for it in range(1, max_irls + 1):
-        eta = rt.mv(X, w)
-        W, r_work = _link_quantities(family, eta, t)
-        g = rt.xt_mv(X, r_work)                 # rhs: X^T (y - mu)
-        if lam:
-            g = rt.axpy(-lam, w, g)
-        resid_sq = float(g @ g)
-        if resid_sq <= tol:
-            break
-
-        # CG on (X^T W X + lam I) d = g  -- pattern with v = W; the Gaussian
-        # family's W = 1 drops the element-wise multiply entirely
-        v_arg = None if family == "gaussian" else W
-        z_arg, beta_arg = (pdir, lam) if lam else (None, 0.0)
-        d = np.zeros(n)
-        r = g.copy()
-        pdir = r.copy()
-        rr = float(r @ r)
-        for _ in range(max_cg):
-            total_cg += 1
-            z_arg = pdir if lam else None
-            Hp = rt.pattern(X, pdir, v=v_arg, z=z_arg, beta=beta_arg)
-            a = rr / max(rt.dot(pdir, Hp), 1e-300)
-            d = rt.axpy(a, pdir, d)
-            r = rt.axpy(-a, Hp, r)
-            rr_new = rt.sumsq(r)
-            if rr_new <= 1e-12 * rr or rr_new <= 1e-14:
+        w = np.zeros(n, dtype=np.float64)
+        total_cg = 0
+        it = 0
+        resid_sq = np.inf
+        for it in range(1, max_irls + 1):
+            eta = rt.mv(X, w)
+            W, r_work = _link_quantities(family, eta, t)
+            g = rt.xt_mv(X, r_work)                 # rhs: X^T (y - mu)
+            if lam:
+                g = rt.axpy(-lam, w, g)
+            resid_sq = float(g @ g)
+            if resid_sq <= tol:
                 break
-            pdir = rt.axpy(rr_new / rr, pdir, r)
-            rr = rr_new
-        w = w + d
-        if float(d @ d) <= 1e-18 * max(1.0, float(w @ w)):
-            break
 
-    if include_transfer:
-        rt.download(w)
+            # CG on (X^T W X + lam I) d = g  -- pattern with v = W; the
+            # Gaussian family's W = 1 drops the element-wise multiply
+            # entirely
+            v_arg = None if family == "gaussian" else W
+            z_arg, beta_arg = (pdir, lam) if lam else (None, 0.0)
+            d = np.zeros(n)
+            r = g.copy()
+            pdir = r.copy()
+            rr = float(r @ r)
+            for _ in range(max_cg):
+                total_cg += 1
+                z_arg = pdir if lam else None
+                Hp = rt.pattern(X, pdir, v=v_arg, z=z_arg, beta=beta_arg)
+                a = rr / max(rt.dot(pdir, Hp), 1e-300)
+                d = rt.axpy(a, pdir, d)
+                r = rt.axpy(-a, Hp, r)
+                rr_new = rt.sumsq(r)
+                if rr_new <= 1e-12 * rr or rr_new <= 1e-14:
+                    break
+                pdir = rt.axpy(rr_new / rr, pdir, r)
+                rr = rr_new
+            w = w + d
+            if float(d @ d) <= 1e-18 * max(1.0, float(w @ w)):
+                break
+
+        if include_transfer:
+            rt.download(w)
     return GlmResult(w=w, iterations=it, cg_iterations=total_cg,
                      deviance_proxy=resid_sq, total_time_ms=rt.ledger.total_ms)

@@ -48,34 +48,33 @@ def hits(X, runtime: MLRuntime | None = None, max_iterations: int = 100,
         raise ValueError("mode must be 'fused' or 'alternating'")
     rt = runtime or MLRuntime()
     m, n = X.shape
-    if include_transfer:
-        rt.upload(X)
-    a = np.full(n, 1.0 / np.sqrt(n), dtype=np.float64)
-    delta = np.inf
-    it = 0
-    for it in range(1, max_iterations + 1):
-        if mode == "fused":
-            a_new = rt.pattern(X, a)          # X^T (X a)
-        else:
-            h_it = rt.mv(X, a)                # hub update
-            a_new = rt.xt_mv(X, h_it)         # authority update (X^T x h)
-        norm = rt.nrm2(a_new)
-        if norm == 0.0:
-            a_new = a
-            delta = 0.0
-            break
-        a_new = rt.scal(1.0 / norm, a_new)
-        diff = a_new - a
-        delta = float(np.sqrt(diff @ diff))
-        a = a_new
-        if delta <= tol:
-            break
-    h = rt.mv(X, a)
-    hn = float(np.sqrt(h @ h))
-    if hn > 0:
-        h = h / hn
-    if include_transfer:
-        rt.download(a)
-        rt.download(h)
+    with rt.resident(X, include_transfer):
+        a = np.full(n, 1.0 / np.sqrt(n), dtype=np.float64)
+        delta = np.inf
+        it = 0
+        for it in range(1, max_iterations + 1):
+            if mode == "fused":
+                a_new = rt.pattern(X, a)          # X^T (X a)
+            else:
+                h_it = rt.mv(X, a)                # hub update
+                a_new = rt.xt_mv(X, h_it)         # authority update (X^T x h)
+            norm = rt.nrm2(a_new)
+            if norm == 0.0:
+                a_new = a
+                delta = 0.0
+                break
+            a_new = rt.scal(1.0 / norm, a_new)
+            diff = a_new - a
+            delta = float(np.sqrt(diff @ diff))
+            a = a_new
+            if delta <= tol:
+                break
+        h = rt.mv(X, a)
+        hn = float(np.sqrt(h @ h))
+        if hn > 0:
+            h = h / hn
+        if include_transfer:
+            rt.download(a)
+            rt.download(h)
     return HitsResult(authorities=a, hubs=h, iterations=it, delta=delta,
                       total_time_ms=rt.ledger.total_ms)

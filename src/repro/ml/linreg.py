@@ -45,30 +45,30 @@ def linreg_cg(X, y, runtime: MLRuntime | None = None,
     if np.asarray(y).shape != (m,):
         raise ValueError(f"y must have shape ({m},)")
 
-    if include_transfer:
-        rt.upload(X)
-        rt.upload(np.asarray(y))
+    with rt.resident(X, include_transfer):
+        if include_transfer:
+            rt.upload(np.asarray(y))
 
-    r = rt.xt_mv(X, np.asarray(y, dtype=np.float64), alpha=-1.0)  # line 3
-    p = rt.scal(-1.0, r)                                          # line 4
-    nr2 = rt.sumsq(r)                                             # line 5
-    nr2_init = nr2
-    nr2_target = nr2 * tolerance ** 2                             # line 6
-    w = np.zeros(n, dtype=np.float64)                             # line 7
-    i = 0
-    while i < max_iterations and nr2 > nr2_target:                # line 9
-        q = rt.pattern(X, p, z=p, beta=eps)                       # line 10
-        alpha = nr2 / rt.dot(p, q)                                # line 12
-        w = rt.axpy(alpha, p, w)                                  # line 13
-        old_nr2 = nr2
-        r = rt.axpy(alpha, q, r)                                  # line 15
-        nr2 = rt.sumsq(r)                                         # line 16
-        beta = nr2 / old_nr2                                      # line 17
-        p = rt.axpy(beta, p, -r)                                  # line 18
-        i += 1
+        r = rt.xt_mv(X, np.asarray(y, dtype=np.float64), alpha=-1.0)  # line 3
+        p = rt.scal(-1.0, r)                                          # line 4
+        nr2 = rt.sumsq(r)                                             # line 5
+        nr2_init = nr2
+        nr2_target = nr2 * tolerance ** 2                             # line 6
+        w = np.zeros(n, dtype=np.float64)                             # line 7
+        i = 0
+        while i < max_iterations and nr2 > nr2_target:                # line 9
+            q = rt.pattern(X, p, z=p, beta=eps)                       # line 10
+            alpha = nr2 / rt.dot(p, q)                                # line 12
+            w = rt.axpy(alpha, p, w)                                  # line 13
+            old_nr2 = nr2
+            r = rt.axpy(alpha, q, r)                                  # line 15
+            nr2 = rt.sumsq(r)                                         # line 16
+            beta = nr2 / old_nr2                                      # line 17
+            p = rt.axpy(beta, p, -r)                                  # line 18
+            i += 1
 
-    if include_transfer:
-        rt.download(w)
+        if include_transfer:
+            rt.download(w)
     return LinRegResult(w=w, iterations=i, residual_norm_sq=nr2,
                         initial_norm_sq=nr2_init,
                         total_time_ms=rt.ledger.total_ms)

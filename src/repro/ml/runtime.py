@@ -17,6 +17,7 @@ records every pattern instantiation encountered (Table 1 coverage).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,20 +120,44 @@ class MLRuntime:
         return float(np.asarray(X).size * _D)
 
     # ------------------------------------------------------------ transfer --
-    def upload(self, X) -> None:
+    def upload(self, X) -> bool:
         """Charge the host-to-device transfer of an operand (Table 5).
 
-        Uploading also pins the operand on the engine: device-resident data
-        is immutable from the host's point of view, so the engine freezes
-        it and memoizes its fingerprint instead of re-hashing it on every
-        call.  ``runtime.engine.unpin(X)`` makes it writable again.
+        Uploading also pins a matrix operand on the engine: device-resident
+        data is immutable from the host's point of view, so the engine
+        freezes it and memoizes its fingerprint instead of re-hashing it on
+        every call.  Returns True when this call took the pin, which its
+        taker releases with ``runtime.engine.unpin(X)`` (:meth:`resident`
+        does so for the solvers); a matrix already pinned on the engine is
+        left as it is.
         """
-        if self.on_gpu:
-            self.ledger.charge("transfer",
-                               self.transfer.h2d_ms(self._nbytes(X)))
-            if isinstance(X, CsrMatrix) or (
-                    isinstance(X, np.ndarray) and X.ndim == 2):
-                self.engine.pin(X)   # vectors stay mutable (CG updates them)
+        if not self.on_gpu:
+            return False
+        self.ledger.charge("transfer", self.transfer.h2d_ms(self._nbytes(X)))
+        if not (isinstance(X, CsrMatrix) or (
+                isinstance(X, np.ndarray) and X.ndim == 2)):
+            return False             # vectors stay mutable (CG updates them)
+        if self.engine.is_pinned(X):
+            return False
+        self.engine.pin(X)
+        return True
+
+    @contextmanager
+    def resident(self, X, upload: bool):
+        """Keep ``X`` on the device for one solve.
+
+        With ``upload``, entering charges the transfer and pins ``X``
+        (:meth:`upload`), and leaving — by return or raise — releases the
+        pin it took, so the caller gets ``X`` back as it handed it in:
+        writable if it was, frozen if the caller had frozen it, and
+        pinned if the caller had pinned it on this engine.
+        """
+        took = self.upload(X) if upload else False
+        try:
+            yield
+        finally:
+            if took:
+                self.engine.unpin(X)
 
     def download(self, x) -> None:
         if self.on_gpu:

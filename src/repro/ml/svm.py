@@ -45,62 +45,62 @@ def svm_primal(X, labels, runtime: MLRuntime | None = None,
         raise ValueError(f"labels must have shape ({m},)")
     if not np.all(np.isin(t, (-1.0, 1.0))):
         raise ValueError("labels must be -1/+1")
-    if include_transfer:
-        rt.upload(X)
+    with rt.resident(X, include_transfer):
 
-    w = np.zeros(n, dtype=np.float64)
-    total_cg = 0
-    it = 0
-    sv = np.ones(m, dtype=np.float64)
-    for it in range(1, max_newton + 1):
+        w = np.zeros(n, dtype=np.float64)
+        total_cg = 0
+        it = 0
+        sv = np.ones(m, dtype=np.float64)
+        for it in range(1, max_newton + 1):
+            u = rt.mv(X, w)
+            margin = 1.0 - t * u
+            sv = (margin > 0).astype(np.float64)
+            # gradient: lam w - 2 X^T (sv * t * margin)
+            g = rt.xt_mv(X, sv * t * margin, alpha=-2.0)
+            g = rt.axpy(lam, w, g)
+            gnorm = float(np.sqrt(g @ g))
+            if gnorm <= tol:
+                break
+
+            # CG on (lam I + 2 X^T diag(sv) X) d = -g; when every point
+            # violates the margin (e.g. the first Newton step from w = 0)
+            # the indicator is all-ones and the Hessian-vector product
+            # degenerates to the ``X^T (X y) + beta z`` instantiation
+            # (Table 1's SVM column)
+            sv_arg = None if bool(sv.all()) else sv
+            d = np.zeros(n)
+            r = -g
+            pdir = r.copy()
+            rr = float(r @ r)
+            for _ in range(max_cg):
+                total_cg += 1
+                Hp = rt.pattern(X, pdir, v=sv_arg, z=pdir, alpha=2.0, beta=lam)
+                a = rr / max(rt.dot(pdir, Hp), 1e-300)
+                d = rt.axpy(a, pdir, d)
+                r = rt.axpy(-a, Hp, r)
+                rr_new = rt.sumsq(r)
+                if rr_new <= 1e-10 * rr:
+                    break
+                pdir = rt.axpy(rr_new / rr, pdir, r)
+                rr = rr_new
+
+            # line search on the piecewise-quadratic objective (backtracking)
+            f0 = _objective(u, t, w, lam)
+            step = 1.0
+            for _ in range(20):
+                w_try = w + step * d
+                if _objective(rt.mv(X, w_try), t, w_try, lam) <= f0:
+                    break
+                step *= 0.5
+            w = w + step * d
+            if step * float(np.sqrt(d @ d)) <= tol * max(
+                    1.0, float(np.sqrt(w @ w))):
+                break
+
         u = rt.mv(X, w)
-        margin = 1.0 - t * u
-        sv = (margin > 0).astype(np.float64)
-        # gradient: lam w - 2 X^T (sv * t * margin)
-        g = rt.xt_mv(X, sv * t * margin, alpha=-2.0)
-        g = rt.axpy(lam, w, g)
-        gnorm = float(np.sqrt(g @ g))
-        if gnorm <= tol:
-            break
-
-        # CG on (lam I + 2 X^T diag(sv) X) d = -g; when every point violates
-        # the margin (e.g. the first Newton step from w = 0) the indicator is
-        # all-ones and the Hessian-vector product degenerates to the
-        # ``X^T (X y) + beta z`` instantiation (Table 1's SVM column)
-        sv_arg = None if bool(sv.all()) else sv
-        d = np.zeros(n)
-        r = -g
-        pdir = r.copy()
-        rr = float(r @ r)
-        for _ in range(max_cg):
-            total_cg += 1
-            Hp = rt.pattern(X, pdir, v=sv_arg, z=pdir, alpha=2.0, beta=lam)
-            a = rr / max(rt.dot(pdir, Hp), 1e-300)
-            d = rt.axpy(a, pdir, d)
-            r = rt.axpy(-a, Hp, r)
-            rr_new = rt.sumsq(r)
-            if rr_new <= 1e-10 * rr:
-                break
-            pdir = rt.axpy(rr_new / rr, pdir, r)
-            rr = rr_new
-
-        # line search on the piecewise-quadratic objective (backtracking)
-        f0 = _objective(u, t, w, lam)
-        step = 1.0
-        for _ in range(20):
-            w_try = w + step * d
-            if _objective(rt.mv(X, w_try), t, w_try, lam) <= f0:
-                break
-            step *= 0.5
-        w = w + step * d
-        if step * float(np.sqrt(d @ d)) <= tol * max(1.0,
-                                                     float(np.sqrt(w @ w))):
-            break
-
-    u = rt.mv(X, w)
-    obj = _objective(u, t, w, lam)
-    if include_transfer:
-        rt.download(w)
+        obj = _objective(u, t, w, lam)
+        if include_transfer:
+            rt.download(w)
     return SvmResult(w=w, iterations=it, cg_iterations=total_cg,
                      n_support=int(sv.sum()), objective=obj,
                      total_time_ms=rt.ledger.total_ms)

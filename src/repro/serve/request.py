@@ -9,8 +9,11 @@ exceptions, so callers can distinguish load-shedding from failure without
 try/except plumbing.
 
 Internally the server wraps each admitted request in a ``_Ticket`` carrying
-the content fingerprint (the micro-batcher's grouping key), the absolute
-deadline, and the enqueue timestamp used for wait-time accounting.
+the matrix fingerprint (the micro-batcher's grouping key), the absolute
+deadline, and the enqueue timestamp used for wait-time accounting.  The
+fingerprint is computed once, at admission, by the server's engine
+(:meth:`~repro.core.engine.PatternEngine.fingerprint`), and travels with the
+ticket's :class:`~repro.core.engine.PatternRequest` into evaluation.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.engine import PatternRequest, fingerprint_matrix
+from ..core.engine import PatternRequest
+# not called here: perfbench's traced runs wrap this module attribute by
+# name, and a missing name makes those runs exit 1
+from ..core.engine import fingerprint_matrix  # noqa: F401
 from ..core.pattern import GenericPattern
 from ..kernels.base import KernelResult
 from ..sparse.csr import CsrMatrix
@@ -38,7 +44,12 @@ STATUSES = (STATUS_OK, STATUS_SHED, STATUS_TIMEOUT, STATUS_REJECTED,
 
 @dataclass
 class ServeRequest:
-    """One pattern evaluation to run through the server."""
+    """One pattern evaluation to run through the server.
+
+    The server evaluates a request under the identity ``X`` had when it
+    was submitted: mutating ``X`` between submit and resolution is the
+    caller's race (mutate between requests, never during one).
+    """
 
     X: CsrMatrix | np.ndarray
     y: np.ndarray
@@ -53,10 +64,14 @@ class ServeRequest:
     tier: str = ""                     # service class; "" = server default
     slo_ms: float | None = None        # latency SLO (observed, not enforced)
 
-    def to_pattern_request(self) -> PatternRequest:
+    def to_pattern_request(self, fingerprint: str | None = None
+                           ) -> PatternRequest:
+        """The engine request; ``fingerprint`` is ``X``'s admitted
+        identity, so evaluation need not hash ``X`` again."""
         return PatternRequest(self.X, self.y, v=self.v, z=self.z,
                               alpha=self.alpha, beta=self.beta,
-                              inner=self.inner, strategy=self.strategy)
+                              inner=self.inner, strategy=self.strategy,
+                              fingerprint=fingerprint)
 
     def validate(self) -> GenericPattern:
         """Eagerly shape-check (raises ``ValueError`` in the caller's
@@ -64,11 +79,6 @@ class ServeRequest:
         return GenericPattern(self.X, self.y, v=self.v, z=self.z,
                               alpha=self.alpha, beta=self.beta,
                               inner=self.inner)
-
-    def group_key(self) -> tuple[str, str]:
-        """Micro-batching key: requests sharing it reuse one cached
-        profile/plan/transpose when evaluated back to back."""
-        return (fingerprint_matrix(self.X), self.strategy)
 
 
 @dataclass

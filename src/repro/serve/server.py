@@ -182,7 +182,10 @@ class PatternServer:
         with trace.span("admission", "serve") as sp:
             request.validate()
             rid = self._new_id()
-            key = request.group_key()
+            # the request's one hash (none for a matrix pinned on the
+            # engine): it keys the micro-batcher and rides into evaluation
+            fp = self.engine.fingerprint(request.X)
+            key = (fp, request.strategy)
             spec = resolve_tier(request.tier, self._tiers)
             slo_ms = request.slo_ms
             if slo_ms is None:
@@ -194,7 +197,7 @@ class PatternServer:
                 deadline_ms = self.config.default_deadline_ms
             now = time.monotonic()
             ticket = _Ticket(
-                id=rid, request=request.to_pattern_request(), key=key,
+                id=rid, request=request.to_pattern_request(fp), key=key,
                 enqueued_at=now,
                 deadline_at=(now + deadline_ms / 1e3)
                 if deadline_ms is not None else None,

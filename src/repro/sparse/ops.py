@@ -69,9 +69,13 @@ class SpmvPlan:
     batched thread pool).  Output vectors are freshly allocated unless an
     ``out`` buffer is passed, so callers may retain results across calls.
 
-    The plan is valid for the matrix content it was built from; like the
-    engine's fingerprint semantics, mutating the matrix in place makes the
-    plan stale and the caller must rebuild it.
+    The plan holds only what it derived from the matrix's *structure*
+    (``row_off``).  The values and column indices come from the matrix
+    passed to :meth:`spmv`/:meth:`spmv_t` (by default the one that built
+    the plan), so one cached plan serves every content-equal matrix
+    without reading another matrix's arrays — e.g. after the building
+    matrix was mutated in place.  Mutating ``row_off`` makes the plan
+    stale and the caller must rebuild it.
     """
 
     def __init__(self, X: CsrMatrix):
@@ -101,10 +105,25 @@ class SpmvPlan:
             self._tls.buf = buf
         return buf
 
-    def spmv(self, y: np.ndarray, out: np.ndarray | None = None
-             ) -> np.ndarray:
-        """Planned ``X @ y``; bit-identical to :func:`spmv`."""
-        X = self.X
+    def _operand(self, X: CsrMatrix | None) -> CsrMatrix:
+        """The matrix to multiply: ``X``, checked against the plan's
+        shape and non-zero count, or else the plan's own matrix."""
+        if X is None:
+            return self.X
+        if X.shape != self.X.shape or X.nnz != self.X.nnz:
+            raise ValueError(
+                f"plan built for a {self.X.shape} matrix with "
+                f"{self.X.nnz} non-zeros, got {X.shape} with {X.nnz}")
+        return X
+
+    def spmv(self, y: np.ndarray, out: np.ndarray | None = None,
+             X: CsrMatrix | None = None) -> np.ndarray:
+        """Planned ``X @ y``; bit-identical to :func:`spmv`.
+
+        ``X`` is the matrix to multiply, of the plan's structure; it
+        defaults to the matrix the plan was built from.
+        """
+        X = self._operand(X)
         y = _check_vector(y, X.n, "y")
         if out is None:
             out = np.zeros(X.m, dtype=np.float64)
@@ -118,9 +137,11 @@ class SpmvPlan:
         out[self.nonempty] = np.add.reduceat(prod, self.starts)
         return out
 
-    def spmv_t(self, p: np.ndarray) -> np.ndarray:
-        """Planned ``X.T @ p``; bit-identical to :func:`spmv_t`."""
-        X = self.X
+    def spmv_t(self, p: np.ndarray, X: CsrMatrix | None = None
+               ) -> np.ndarray:
+        """Planned ``X.T @ p``; bit-identical to :func:`spmv_t`.  ``X``
+        as in :meth:`spmv`."""
+        X = self._operand(X)
         p = _check_vector(p, X.m, "p")
         if X.nnz == 0:
             return np.zeros(X.n, dtype=np.float64)

@@ -15,6 +15,8 @@ from repro.core.api import evaluate as evaluate_uncached
 from repro.kernels import codegen
 from repro.kernels.base import GpuContext
 from repro.gpu.device import GTX_TITAN, K20X
+import repro.core.engine as core_engine
+from repro.ml import glm_irls, hits, logreg_trust_region, svm_primal
 from repro.ml.linreg import linreg_cg
 from repro.ml.runtime import MLRuntime
 from repro.serve.metrics import ServeMetrics
@@ -177,6 +179,126 @@ class TestPinnedFingerprint:
         engine.unpin(X)
         X[0, 0] = 1.0
 
+    def test_unpin_thaws_only_what_the_pin_froze(self):
+        engine = PatternEngine()
+        X = random_csr(30, 10, 0.3, rng=44)
+        X.values.flags.writeable = False          # the caller's own freeze
+        engine.pin(X)
+        engine.unpin(X)
+        assert not X.values.flags.writeable
+        X.col_idx[0] = X.col_idx[0]               # thawed: it was writable
+
+    def test_repin_then_one_unpin_thaws(self):
+        # the second pin finds X frozen by the first; the one unpin must
+        # still thaw what the first pin froze
+        engine = PatternEngine()
+        X = random_csr(30, 10, 0.3, rng=45)
+        fp = engine.pin(X)
+        assert engine.pin(X) == fp
+        engine.unpin(X)
+        X.values[0] = 1.0
+        assert not engine.is_pinned(X)
+
+    def test_fingerprint_is_the_memo_or_one_hash(self):
+        engine = PatternEngine()
+        X = random_csr(30, 10, 0.3, rng=46)
+        assert engine.fingerprint(X) == fingerprint_matrix(X)
+        fp = engine.pin(X)
+        assert engine.fingerprint(X) == fp
+        assert engine.stats().pinned_fingerprint_hits == 1
+
+
+def _count_hashes(monkeypatch) -> list:
+    calls: list = []
+    real = core_engine.fingerprint_matrix
+
+    def counting(X):
+        calls.append(X)
+        return real(X)
+
+    monkeypatch.setattr(core_engine, "fingerprint_matrix", counting)
+    return calls
+
+
+_SOLVES = {
+    "linreg": lambda X, rt: linreg_cg(X, _vec(X.m, 7), runtime=rt,
+                                      max_iterations=4),
+    "glm": lambda X, rt: glm_irls(X, np.abs(_vec(X.m, 7)), runtime=rt,
+                                  max_irls=2, max_cg=3,
+                                  include_transfer=True),
+    "logreg": lambda X, rt: logreg_trust_region(
+        X, np.sign(_vec(X.m, 7)) + (_vec(X.m, 7) == 0), runtime=rt,
+        max_newton=2, max_cg=3, include_transfer=True),
+    "svm": lambda X, rt: svm_primal(
+        X, np.sign(_vec(X.m, 7)) + (_vec(X.m, 7) == 0), runtime=rt,
+        max_newton=2, max_cg=3, include_transfer=True),
+    "hits": lambda X, rt: hits(X, runtime=rt, max_iterations=4,
+                               include_transfer=True),
+}
+
+
+class TestSolvePins:
+    """A GPU solve pins X while it runs and hands it back as it was."""
+
+    @pytest.mark.parametrize("solver", sorted(_SOLVES))
+    def test_x_is_writable_after_the_solve(self, solver):
+        X = random_csr(120, 20, 0.2, rng=71)
+        rt = MLRuntime("gpu-fused")
+        _SOLVES[solver](X, rt)
+        assert rt.engine.stats().pinned_fingerprint_hits > 0
+        X.values[0] += 1.0
+        assert not rt.engine.is_pinned(X)
+
+    def test_x_is_writable_after_the_runtime_is_dropped(self):
+        X = random_csr(120, 20, 0.2, rng=72)
+        rt = MLRuntime("gpu-fused")
+        linreg_cg(X, _vec(X.m, 72), runtime=rt, max_iterations=3)
+        del rt
+        X.values[0] += 1.0
+        linreg_cg(X, _vec(X.m, 72), max_iterations=3)  # its own runtime
+        X.values[0] += 1.0
+
+    def test_a_raising_solve_releases_its_pin(self):
+        X = random_csr(120, 20, 0.2, rng=73)
+        rt = MLRuntime("gpu-fused")
+
+        def broken(*a, **kw):
+            raise RuntimeError("kernel failed")
+
+        rt.pattern = broken
+        with pytest.raises(RuntimeError):
+            linreg_cg(X, _vec(X.m, 73), runtime=rt, max_iterations=3)
+        X.values[0] += 1.0
+
+    def test_a_caller_frozen_array_stays_frozen(self):
+        X = random_csr(120, 20, 0.2, rng=74)
+        X.values.flags.writeable = False
+        linreg_cg(X, _vec(X.m, 74), runtime=MLRuntime("gpu-fused"),
+                  max_iterations=3)
+        assert not X.values.flags.writeable
+        X.col_idx[0] = X.col_idx[0]         # the solve's own freeze undone
+
+    def test_a_caller_pinned_x_stays_pinned_unhashed(self, monkeypatch):
+        X = random_csr(120, 20, 0.2, rng=75)
+        rt = MLRuntime("gpu-fused")
+        rt.engine.pin(X)
+        hashes = _count_hashes(monkeypatch)
+        linreg_cg(X, _vec(X.m, 75), runtime=rt, max_iterations=3)
+        assert not any(h is X for h in hashes)
+        assert rt.engine.is_pinned(X)
+        with pytest.raises(ValueError):
+            X.values[0] = 1.0
+        rt.engine.unpin(X)
+        X.values[0] = 1.0
+
+    def test_each_solve_hashes_x_once(self, monkeypatch):
+        X = random_csr(120, 20, 0.2, rng=76)
+        rt = MLRuntime("gpu-fused")
+        hashes = _count_hashes(monkeypatch)
+        for _ in range(2):
+            linreg_cg(X, _vec(X.m, 76), runtime=rt, max_iterations=3)
+        assert sum(h is X for h in hashes) == 2
+
 
 @pytest.fixture
 def no_gc():
@@ -324,6 +446,20 @@ class TestStatsReport:
         assert "artifact LRU composition:" in report
         assert "profile:fused-sparse: 1 entries" in report
         assert "pinned-fingerprint hits" in report
+
+    def test_profiles_built_counts_kernel_profiles_only(self):
+        engine = PatternEngine()
+        X = random_csr(40, 14, 0.3, rng=53)
+        engine.evaluate(X, np.ones(X.n), strategy="fused")
+        assert engine.stats().profiles_built == 1     # not the spmv-plan
+
+        session = SystemMLSession("gpu-fused", fuse="auto")
+        session.run_linreg_cg(X, np.ones(X.m), max_iterations=3)
+        stats = session.engine.stats()
+        assert stats.fusion_plans_built > 0
+        assert stats.profiles_built == sum(
+            n for kind, n in stats.artifact_kinds.items()
+            if kind.startswith("profile:"))
 
     def test_prometheus_exports_artifact_kinds(self):
         engine = PatternEngine()
