@@ -114,6 +114,11 @@ def profile_amortization(scale: float | None = None,
     + unprofiled call), and against the same engine path with ``X`` pinned
     (:meth:`~repro.core.engine.PatternEngine.pin`: memoized fingerprint, no
     per-call content hash).
+
+    The series are timed round-robin, best of three rounds: each round
+    calls every series once, starting one series later than the round
+    before, so host drift over the run reaches every series alike instead
+    of deciding the ratios between them.
     """
     from ..core.engine import fingerprint_matrix
     from ..core.pattern import GenericPattern
@@ -178,26 +183,30 @@ def profile_amortization(scale: float | None = None,
         for y in vectors:
             pinned.evaluate(X, y, z=y, beta=beta, strategy="fused")
 
-    def per_call_ms(fn, repeats: int = 3) -> float:
-        fn()                                   # warm caches / allocator
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, (time.perf_counter() - t0) / iterations * 1e3)
-        return best
-
-    floor = per_call_ms(numeric_floor)
-    series = {
-        "numeric_floor": floor,
-        "cold_full": per_call_ms(cold_full),
-        "warm_unprofiled": per_call_ms(warm_unprofiled),
-        "warm_profiled": per_call_ms(warm_profiled),
-        "pre_profile_warm_e2e": per_call_ms(pre_profile_e2e),
-        "engine_warm_e2e": per_call_ms(engine_e2e),
+    series_fns = {
+        "numeric_floor": numeric_floor,
+        "cold_full": cold_full,
+        "warm_unprofiled": warm_unprofiled,
+        "warm_profiled": warm_profiled,
+        "pre_profile_warm_e2e": pre_profile_e2e,
+        "engine_warm_e2e": engine_e2e,
+        "engine_pinned_warm_e2e": engine_pinned_e2e,
     }
-    # pin only around its own series: every other series measures an
-    # unpinned, writable matrix
+
+    def per_call_ms(name: str) -> float:
+        # pin only around the pinned series' own call: every other series
+        # measures an unpinned, writable matrix
+        pin = name == "engine_pinned_warm_e2e"
+        if pin:
+            pinned.pin(X)
+        try:
+            t0 = time.perf_counter()
+            series_fns[name]()
+            return (time.perf_counter() - t0) / iterations * 1e3
+        finally:
+            if pin:
+                pinned.unpin(X)
+
     pinned.pin(X)
     try:
         probe = pinned.evaluate(X, vectors[0], z=vectors[0], beta=beta,
@@ -206,9 +215,16 @@ def profile_amortization(scale: float | None = None,
                 X, vectors[0], z=vectors[0], beta=beta,
                 strategy="fused").output):
             raise AssertionError("pinned engine output is not bit-identical")
-        series["engine_pinned_warm_e2e"] = per_call_ms(engine_pinned_e2e)
     finally:
         pinned.unpin(X)
+    names = list(series_fns)
+    for name in names:                         # warm caches / allocator
+        per_call_ms(name)
+    series = dict.fromkeys(names, float("inf"))
+    for r in range(3):
+        for name in names[r:] + names[:r]:
+            series[name] = min(series[name], per_call_ms(name))
+    floor = series["numeric_floor"]
     for name, per_call in series.items():
         res.add(name, per_call, max(0.0, per_call - floor))
 

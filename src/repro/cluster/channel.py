@@ -21,7 +21,7 @@ import socket
 import threading
 import time
 
-from .protocol import recv_msg, send_msg
+from .protocol import recv_msg, send_msg, set_nodelay
 
 
 class ShardChannel:
@@ -32,8 +32,8 @@ class ShardChannel:
         self.shard_id = shard_id
         self.port = port
         self.process = process
-        self._sock = socket.create_connection(("127.0.0.1", port),
-                                              timeout=connect_timeout_s)
+        self._sock = set_nodelay(socket.create_connection(
+            ("127.0.0.1", port), timeout=connect_timeout_s))
         self._sock.settimeout(None)
         self._out: queue.Queue = queue.Queue()
         self._pending: dict[int, tuple] = {}   # rid -> (callback, sent_at)

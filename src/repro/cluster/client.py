@@ -23,7 +23,7 @@ import socket
 import threading
 
 from .protocol import (OP_CLUSTER_METRICS, OP_EVAL, OP_PING, OP_REGISTER,
-                       recv_msg, send_msg)
+                       recv_msg, send_msg, set_nodelay)
 from .request import (STATUS_ERROR, ClusterFuture, ClusterRequest,
                       ClusterResponse)
 
@@ -56,8 +56,8 @@ class SocketClusterClient:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  connect_timeout_s: float = 10.0):
-        self._sock = socket.create_connection((host, port),
-                                              timeout=connect_timeout_s)
+        self._sock = set_nodelay(socket.create_connection(
+            (host, port), timeout=connect_timeout_s))
         self._sock.settimeout(None)
         self._lock = threading.Lock()       # guards rid counter + pending
         self._write_lock = threading.Lock() # serializes frame writes

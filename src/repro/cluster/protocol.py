@@ -16,6 +16,14 @@ allocation.
 boundary, returns ``None``) from a *torn* one (EOF mid-frame, raises
 ``ConnectionError``) — the router relies on that to tell graceful worker
 shutdown from a crash.
+
+Every TCP link sets ``TCP_NODELAY`` (:func:`set_nodelay`) where it is
+connected or accepted.  Links are pipelined and their frames are small
+(about 1 KB per request, 2 KB per reply), so with Nagle's algorithm on, a
+frame written while an earlier one is unacknowledged waits for the peer's
+delayed ACK — up to Linux's 40 ms timer.  No link wants that, so the
+option is not configurable.  The asyncio client gets it from asyncio's
+own transport.  The frame bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -49,6 +57,15 @@ OP_CLUSTER_METRICS = "cluster-metrics"
 #: machine-readable reason code a worker attaches when asked to evaluate a
 #: fingerprint it has no matrix for (the router re-uploads and resends)
 CODE_UNKNOWN_FINGERPRINT = "unknown-fingerprint"
+
+
+def set_nodelay(sock: socket.socket) -> socket.socket:
+    """Turn Nagle's algorithm off on a connected TCP socket; returns it.
+
+    Called at connect/accept, not in the per-link handlers: tests drive
+    those over AF_UNIX socketpairs, which have no TCP options."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 def send_msg(sock: socket.socket, obj) -> None:

@@ -50,7 +50,8 @@ from .hotkeys import HotKeyTracker
 from .metrics import aggregate_shards, cluster_prometheus
 from .protocol import (CODE_UNKNOWN_FINGERPRINT, OP_CLUSTER_METRICS,
                        OP_DRAIN, OP_EVAL, OP_METRICS, OP_PING, OP_REGISTER,
-                       OP_RESULT, OP_UPLOAD, recv_msg, send_msg)
+                       OP_RESULT, OP_UPLOAD, recv_msg, send_msg,
+                       set_nodelay)
 from .request import (STATUS_OK, STATUS_REJECTED, ClusterFuture,
                       ClusterRequest, ClusterResponse, _RouterTicket)
 from .worker import WorkerConfig, worker_main
@@ -571,6 +572,7 @@ class ShardRouter:
                 continue
             except OSError:
                 return
+            set_nodelay(conn)
             self._frontend_conns.append(conn)
             t = threading.Thread(
                 target=self._serve_client, args=(conn,),

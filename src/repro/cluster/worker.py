@@ -45,7 +45,7 @@ from ..serve.request import ServeRequest
 from ..serve.server import PatternServer, ServerConfig
 from .protocol import (CODE_UNKNOWN_FINGERPRINT, OP_DRAIN, OP_EVAL,
                        OP_METRICS, OP_OK, OP_PING, OP_PONG, OP_RESULT,
-                       OP_UPLOAD, recv_msg, send_msg)
+                       OP_UPLOAD, recv_msg, send_msg, set_nodelay)
 
 
 @dataclass
@@ -254,6 +254,7 @@ class WorkerHost:
                     continue
                 except OSError:
                     break
+                set_nodelay(conn)
                 t = threading.Thread(
                     target=self.handle_connection, args=(conn,),
                     name=f"repro-cluster-w{self.config.shard_id}-conn",

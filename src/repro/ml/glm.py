@@ -79,7 +79,7 @@ def glm_irls(X, target, family: str = "poisson",
             # Gaussian family's W = 1 drops the element-wise multiply
             # entirely
             v_arg = None if family == "gaussian" else W
-            z_arg, beta_arg = (pdir, lam) if lam else (None, 0.0)
+            beta_arg = lam if lam else 0.0
             d = np.zeros(n)
             r = g.copy()
             pdir = r.copy()

@@ -121,7 +121,13 @@ def fingerprint_dag(root: Node, env: dict, device_fp: str = "") -> str:
                     f"{nd.inner})")
         return f"{type(nd).__name__}({','.join(walk(c) for c in nd.inputs)})"
 
-    parts.append(walk(root))
+    try:
+        parts.append(walk(root))
+    finally:
+        # ``walk`` reaches itself through its own closure cell; unbinding
+        # it breaks that cycle, so ``env`` (X and the solve's vectors) is
+        # freed by reference counting when this call returns
+        del walk
     return hashlib.blake2b("|".join(parts).encode(),
                            digest_size=16).hexdigest()
 

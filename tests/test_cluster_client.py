@@ -5,10 +5,12 @@ Covers the three client surfaces against one live cluster: the blocking
 :class:`AsyncClusterClient`, and the trace-driven
 :func:`run_cluster_workload` loadgen path with bit-identity verification.
 Transport loss on the client side resolves ``error`` responses — same
-no-exceptions contract the rest of the serving stack keeps.
+no-exceptions contract the rest of the serving stack keeps.  Every client
+link, and the router's end of it, has ``TCP_NODELAY`` set.
 """
 
 import asyncio
+import socket
 
 import numpy as np
 import pytest
@@ -114,6 +116,34 @@ def test_async_client_roundtrip(cluster):
             await client.close()
 
     asyncio.run(scenario())
+
+
+# --------------------------------------------------------------- TCP_NODELAY
+def nodelay(sock) -> bool:
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+def test_socket_client_and_front_door_set_nodelay(cluster):
+    router, port = cluster
+    with SocketClusterClient(port=port) as client:
+        assert client.ping()["shards"] == 2       # the router has accepted
+        assert nodelay(client._sock)
+        # no other client connects meanwhile, so the newest front-door
+        # connection is this client's
+        assert nodelay(router._frontend_conns[-1])
+
+
+def test_async_client_transport_has_nodelay(cluster):
+    _, port = cluster
+
+    async def scenario():
+        client = await AsyncClusterClient.connect(port=port)
+        try:
+            return nodelay(client._writer.get_extra_info("socket"))
+        finally:
+            await client.close()
+
+    assert asyncio.run(scenario())
 
 
 # ------------------------------------------------------------------ loadgen

@@ -5,6 +5,8 @@ The cluster's three pure-logic pieces, tested without any processes:
 * length-prefixed framing round-trips arbitrary payloads, tells a clean
   close (``None``) from a torn frame (``ConnectionError``), and refuses
   frames whose announced size indicates corruption;
+* a router→worker TCP link has ``TCP_NODELAY`` on both ends (a worker
+  accept loop in a thread, no processes);
 * the hot-key tracker promotes exactly the Zipf head (enough absolute
   traffic AND enough share) and demotes deterministically via decay;
 * per-shard metrics snapshots merge into one aggregate with summed
@@ -17,9 +19,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster import (HotKeyTracker, aggregate_shards, merge_counters,
+from repro.cluster import (HotKeyTracker, ShardChannel, WorkerConfig,
+                           WorkerHost, aggregate_shards, merge_counters,
                            merge_engine_stats, merge_histograms)
-from repro.cluster.protocol import (MAX_FRAME_BYTES, recv_msg, send_msg)
+from repro.cluster.protocol import (MAX_FRAME_BYTES, OP_DRAIN, recv_msg,
+                                    send_msg)
 from repro.serve.metrics import ServeMetrics
 
 
@@ -91,6 +95,38 @@ def test_oversized_send_rejected(monkeypatch):
     with pytest.raises(ValueError):
         send_msg(a, {"payload": b"x" * 128})
     a.close(), b.close()
+
+
+# ----------------------------------------------------------------- TCP links
+def nodelay(sock) -> bool:
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+def test_channel_and_worker_accept_set_nodelay():
+    host = WorkerHost(WorkerConfig(max_batch=4, batch_linger_ms=0.5))
+    accepted = []
+    serve_link = host.handle_connection
+
+    def handle(conn):
+        accepted.append(nodelay(conn))
+        serve_link(conn)
+
+    host.handle_connection = handle
+    listener = socket.create_server(("127.0.0.1", 0))
+    server = threading.Thread(target=host.serve_forever, args=(listener,),
+                              daemon=True)
+    server.start()
+    channel = ShardChannel(0, listener.getsockname()[1])
+    try:
+        assert nodelay(channel._sock)
+        drained = threading.Event()
+        channel.send({"op": OP_DRAIN}, on_reply=lambda _r: drained.set())
+        assert drained.wait(10.0)
+    finally:
+        channel.close()
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+    assert accepted == [True]
 
 
 # ------------------------------------------------------------------ hot keys

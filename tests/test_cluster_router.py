@@ -9,11 +9,13 @@ contract:
   per-shard caches see disjoint working sets;
 * a Zipf-hot fingerprint is promoted and spread over its replica set;
 * unknown ops and unregistered fingerprints answer deterministically;
+* a cold request (upload and eval written back to back) is not held by
+  the worker's delayed ACK;
 * shutdown drains cleanly: no leaked threads, no leaked processes, and
   every outstanding request resolves.
 
-Everything uses tiny matrices (~150x24) and bounded waits so the suite
-stays fast and can never hang the runner.
+Everything uses small matrices (~150x24; 2000x96 for the latency check)
+and bounded waits so the suite stays fast and can never hang the runner.
 """
 
 import multiprocessing
@@ -100,6 +102,28 @@ def test_upload_happens_once_per_shard(matrices):
                 ClusterRequest(fp, rng.normal(size=matrices[0].n),
                                strategy="fused"), timeout=60).ok
         assert router.metrics_snapshot()["counters"]["uploads"] == 1
+    finally:
+        router.stop()
+
+
+# ------------------------------------------------------------------ latency
+def test_cold_request_is_not_held_by_delayed_ack():
+    # the eval frame follows the upload frame before the worker has ACKed
+    # it; with Nagle's algorithm on, it waited for Linux's 40 ms
+    # delayed-ACK timer (median 24-42 ms), with TCP_NODELAY about 4 ms
+    mats = [random_csr(2000, 96, 0.05, rng=seed) for seed in range(24)]
+    router = ShardRouter(ClusterConfig(shards=2))
+    try:
+        rng = np.random.default_rng(24)
+        latencies = []
+        for X in mats:
+            fp = router.register(X)
+            y = rng.normal(size=X.n)
+            t0 = time.perf_counter()
+            resp = router.evaluate(ClusterRequest(fp, y), timeout=60)
+            latencies.append((time.perf_counter() - t0) * 1e3)
+            assert resp.status == STATUS_OK, resp
+        assert np.median(latencies) < 15.0, sorted(latencies)
     finally:
         router.stop()
 

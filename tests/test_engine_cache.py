@@ -21,6 +21,8 @@ from repro.ml.linreg import linreg_cg
 from repro.ml.runtime import MLRuntime
 from repro.serve.metrics import ServeMetrics
 from repro.sparse import CsrMatrix, random_csr
+from repro.systemml.fusion import fingerprint_dag
+from repro.systemml.parser import parse_expression
 from repro.systemml.runner import SystemMLSession
 
 
@@ -334,6 +336,14 @@ class TestMemoryRelease:
         engine = weakref.ref(session.engine)
         del session
         assert engine() is None
+
+    def test_fingerprint_dag_frees_its_env(self, no_gc):
+        X = random_csr(80, 20, 0.1, rng=63)
+        env = {"X": X, "p": np.ones(X.n)}
+        vector = weakref.ref(env["p"])
+        fingerprint_dag(parse_expression("t(X) %*% (X %*% p)"), env)
+        del env
+        assert vector() is None
 
     def test_artifact_budget_bounds_retained_memory(self, no_gc):
         budget = 2 * 1024 * 1024

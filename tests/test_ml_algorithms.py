@@ -143,6 +143,27 @@ class TestGlm:
         w_ref, *_ = np.linalg.lstsq(d, y, rcond=None)
         np.testing.assert_allclose(res.w, w_ref, rtol=1e-5, atol=1e-7)
 
+    def test_regularized_gaussian_equals_ridge(self):
+        X = random_csr(80, 10, 0.3, rng=1)
+        d = X.to_dense()
+        t = np.random.default_rng(1).normal(size=80)
+        res = glm_irls(X, t, "gaussian", lam=0.5)
+        w_ref = np.linalg.solve(d.T @ d + 0.5 * np.eye(10), d.T @ t)
+        np.testing.assert_allclose(res.w, w_ref, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["poisson", "binomial"])
+    def test_regularized_fit_converges(self, family):
+        X = random_csr(80, 10, 0.3, rng=1)
+        rng = np.random.default_rng(1)
+        eta = np.clip(X.to_dense() @ (0.3 * rng.normal(size=10)), -3, 3)
+        if family == "poisson":
+            target = rng.poisson(np.exp(eta)).astype(float)
+        else:
+            target = (rng.random(80) < 1 / (1 + np.exp(-eta))).astype(float)
+        res = glm_irls(X, target, family, lam=0.5)
+        # squared gradient of the penalized likelihood, X^T (t - mu) - lam w
+        assert res.deviance_proxy <= 1e-8
+
     def test_invalid_family(self, small_csr):
         with pytest.raises(ValueError, match="family"):
             glm_irls(small_csr, np.ones(small_csr.m), "gamma")
