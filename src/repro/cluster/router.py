@@ -125,6 +125,9 @@ class ShardRouter:
         self._hb_stop = threading.Event()
         self._heartbeat: threading.Thread | None = None
         self._listener: socket.socket | None = None
+        # live front-door links: the accept loop adds, _serve_client
+        # removes its own on exit, _close_frontend walks a snapshot
+        self._frontend_lock = threading.Lock()
         self._frontend_threads: list[threading.Thread] = []
         self._frontend_conns: list[socket.socket] = []
         if start:
@@ -556,8 +559,9 @@ class ShardRouter:
         self._listener = listener
         t = threading.Thread(target=self._accept_loop,
                              name="repro-cluster-frontend", daemon=True)
+        with self._frontend_lock:
+            self._frontend_threads.append(t)
         t.start()
-        self._frontend_threads.append(t)
         return listener.getsockname()[1]
 
     def _accept_loop(self) -> None:
@@ -573,12 +577,14 @@ class ShardRouter:
             except OSError:
                 return
             set_nodelay(conn)
-            self._frontend_conns.append(conn)
             t = threading.Thread(
                 target=self._serve_client, args=(conn,),
                 name="repro-cluster-frontend-conn", daemon=True)
+            # listed before it starts, so its exit always finds itself
+            with self._frontend_lock:
+                self._frontend_conns.append(conn)
+                self._frontend_threads.append(t)
             t.start()
-            self._frontend_threads.append(t)
 
     def _serve_client(self, conn: socket.socket) -> None:
         """One client link: register/eval/metrics over the shared framing."""
@@ -630,6 +636,9 @@ class ShardRouter:
                     reply({"op": OP_RESULT, "rid": rid, "status": "error",
                            "reason": f"unknown op {op!r}"})
         finally:
+            with self._frontend_lock:
+                self._frontend_conns.remove(conn)
+                self._frontend_threads.remove(threading.current_thread())
             try:
                 conn.close()
             except OSError:
@@ -642,11 +651,14 @@ class ShardRouter:
                 self._listener.close()
             except OSError:
                 pass
-        for conn in self._frontend_conns:
+        with self._frontend_lock:
+            conns = list(self._frontend_conns)
+            threads = list(self._frontend_threads)
+        for conn in conns:
             try:
                 conn.close()
             except OSError:
                 pass
-        for t in self._frontend_threads:
+        for t in threads:
             if t is not threading.current_thread():
                 t.join(timeout=2.0)

@@ -9,14 +9,13 @@ For the warm iterative path (the same matrix multiplied hundreds of times,
 Listing 1), :class:`SpmvPlan` separates the structure-dependent inspection —
 the non-empty-row ``reduceat`` starts and the row-expansion index that
 ``spmv_t`` otherwise rebuilds with ``np.repeat`` on every call — from the
-vector-dependent execution, and keeps reusable O(nnz) scratch.  Planned
-results are bit-identical to the plain functions (same operations in the
-same order on the same operands), which the property suite asserts.
+vector-dependent execution, which keeps no scratch buffer.  Planned
+results are bit-identical to the plain functions (the same additions and
+products in the same order on the same operands), which the property
+suite asserts; the plain functions are the planned path's oracle.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -64,10 +63,16 @@ class SpmvPlan:
     * the row-expansion index ``rows[k] = row of non-zero k``, replacing
       :func:`spmv_t`'s per-call ``np.repeat(p, row_nnz)``.
 
-    Per call, only the vector changes: the O(nnz) gather/product runs in
-    reusable scratch (thread-local, so one plan is safe under the engine's
-    batched thread pool).  Output vectors are freshly allocated unless an
-    ``out`` buffer is passed, so callers may retain results across calls.
+    Per call, only the vector changes.  The plan holds no scratch buffer
+    and no per-thread state, so one plan is safe under the engine's
+    batched thread pool.  Each call gathers with plain fancy indexing
+    (``y[col_idx]``, ``p[row_expand]``), multiplies the gathered terms by
+    the values in place, and returns a fresh vector.  :meth:`spmv_t`
+    scatters with ``np.add.at`` into a zero vector.  That adds each
+    column's terms in non-zero order, starting from +0.0, exactly as
+    :func:`spmv_t`'s ``np.bincount`` does, so the sums are bit-identical,
+    down to the sign of a zero sum.  Unlike ``bincount``, it reads a
+    read-only (pinned) ``col_idx`` in place instead of copying it.
 
     The plan holds only what it derived from the matrix's *structure*
     (``row_off``).  The values and column indices come from the matrix
@@ -85,25 +90,12 @@ class SpmvPlan:
         self.starts = X.row_off[:-1][self.nonempty]
         #: row id of each stored non-zero (the np.repeat spmv_t re-derives)
         self.row_expand = np.repeat(np.arange(X.m, dtype=np.int64), row_nnz)
-        self._tls = threading.local()
 
     @property
     def nbytes(self) -> int:
         """Footprint of the precomputed index structure (for cache LRUs)."""
         return int(self.row_expand.nbytes + self.starts.nbytes
                    + self.nonempty.nbytes)
-
-    def scratch(self) -> np.ndarray:
-        """Reusable O(nnz) product buffer of the calling thread.
-
-        Allocated on a thread's first call and reused by every later
-        :meth:`spmv`/:meth:`spmv_t` on that thread (see class docs).
-        """
-        buf = getattr(self._tls, "buf", None)
-        if buf is None:
-            buf = np.empty(self.X.nnz, dtype=np.float64)
-            self._tls.buf = buf
-        return buf
 
     def _operand(self, X: CsrMatrix | None) -> CsrMatrix:
         """The matrix to multiply: ``X``, checked against the plan's
@@ -116,8 +108,7 @@ class SpmvPlan:
                 f"{self.X.nnz} non-zeros, got {X.shape} with {X.nnz}")
         return X
 
-    def spmv(self, y: np.ndarray, out: np.ndarray | None = None,
-             X: CsrMatrix | None = None) -> np.ndarray:
+    def spmv(self, y: np.ndarray, X: CsrMatrix | None = None) -> np.ndarray:
         """Planned ``X @ y``; bit-identical to :func:`spmv`.
 
         ``X`` is the matrix to multiply, of the plan's structure; it
@@ -125,15 +116,9 @@ class SpmvPlan:
         """
         X = self._operand(X)
         y = _check_vector(y, X.n, "y")
-        if out is None:
-            out = np.zeros(X.m, dtype=np.float64)
-        else:
-            out.fill(0.0)
-        if X.nnz == 0 or X.m == 0:
-            return out
-        prod = self.scratch()
-        np.take(y, X.col_idx, out=prod)
+        prod = y[X.col_idx]
         np.multiply(X.values, prod, out=prod)
+        out = np.zeros(X.m, dtype=np.float64)
         out[self.nonempty] = np.add.reduceat(prod, self.starts)
         return out
 
@@ -143,12 +128,11 @@ class SpmvPlan:
         as in :meth:`spmv`."""
         X = self._operand(X)
         p = _check_vector(p, X.m, "p")
-        if X.nnz == 0:
-            return np.zeros(X.n, dtype=np.float64)
-        scaled = self.scratch()
-        np.take(p, self.row_expand, out=scaled)
+        scaled = p[self.row_expand]
         np.multiply(X.values, scaled, out=scaled)
-        return np.bincount(X.col_idx, weights=scaled, minlength=X.n)
+        out = np.zeros(X.n, dtype=np.float64)
+        np.add.at(out, X.col_idx, scaled)
+        return out
 
 
 def fused_pattern_reference(X: CsrMatrix | np.ndarray, y: np.ndarray,

@@ -12,7 +12,8 @@ contract:
 * a cold request (upload and eval written back to back) is not held by
   the worker's delayed ACK;
 * shutdown drains cleanly: no leaked threads, no leaked processes, and
-  every outstanding request resolves.
+  every outstanding request resolves;
+* a client link that ends releases its front-door socket and thread.
 
 Everything uses small matrices (~150x24; 2000x96 for the latency check)
 and bounded waits so the suite stays fast and can never hang the runner.
@@ -26,7 +27,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import (ClusterConfig, ClusterRequest, ShardRouter,
-                           STATUS_OK, STATUS_REJECTED, WorkerConfig)
+                           SocketClusterClient, STATUS_OK, STATUS_REJECTED,
+                           WorkerConfig)
 from repro.core.api import evaluate as evaluate_uncached
 from repro.sparse import random_csr
 
@@ -300,6 +302,27 @@ def test_stop_is_idempotent_and_leak_free(matrices):
         time.sleep(0.05)
     assert len(cluster_threads()) <= before_threads, cluster_threads()
     assert len(multiprocessing.active_children()) <= before_children
+
+
+def test_closed_client_links_are_released():
+    """A front-door link that ends drops its socket and its thread: after
+    five connect/ping/close cycles the router holds no client socket and
+    no thread but its accept loop."""
+    router = make_router(shards=2)
+    try:
+        port = router.listen()
+        for _ in range(5):
+            with SocketClusterClient(port=port) as client:
+                assert client.ping()["shards"] == 2
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and (
+                router._frontend_conns or len(router._frontend_threads) > 1):
+            time.sleep(0.02)
+        assert router._frontend_conns == []
+        assert [t.name for t in router._frontend_threads] == [
+            "repro-cluster-frontend"]
+    finally:
+        router.stop()
 
 
 def test_context_manager_stops():

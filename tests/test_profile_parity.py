@@ -6,11 +6,15 @@ The PR's contract:
   counters *field-equal* (and outputs *byte-equal*) to the same call with no
   profile — across a 200-pattern sweep of every strategy, sparse and dense;
 * :class:`~repro.sparse.ops.SpmvPlan`-backed ``spmv``/``spmv_t`` are
-  bit-identical to the plain reference ops (hypothesis property);
+  byte-identical to the plain reference ops (hypothesis properties over
+  signed zeros, NaN, empty structure, frozen and content-equal operands,
+  and threads sharing a plan), and the fused kernel's output bytes equal
+  ``fused_pattern_reference`` over the 200-pattern sweep;
 * in-place mutation of a matrix rebuilds the profile (content fingerprints),
   so the engine never serves a stale template.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -25,7 +29,8 @@ from repro.core.plans import ExplicitTransposePlan
 from repro.kernels import (dense_baseline, dense_fused, sparse_baseline,
                            sparse_fused, sparse_multi, sparse_scalar)
 from repro.kernels.base import DEFAULT_CONTEXT
-from repro.sparse import CsrMatrix, SpmvPlan, random_csr, spmv, spmv_t
+from repro.sparse import (CsrMatrix, SpmvPlan, fused_pattern_reference,
+                          random_csr, spmv, spmv_t)
 from repro.tuning.sparse_params import tune_sparse
 
 SPARSE_STRATEGIES = ("auto", "fused", "cusparse", "cusparse-explicit",
@@ -208,7 +213,53 @@ class TestDirectKernelParity:
 
 
 # ------------------------------------------------ hypothesis: SpmvPlan bits
+def same_bits(got, want):
+    """Byte equality: unlike ``np.array_equal``, tells -0.0 from +0.0 and
+    compares NaNs instead of failing on them."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+#: entries drawn for the edge-case matrices and vectors: signed zeros and
+#: NaN besides ordinary numbers (a single NaN payload, and no infinities,
+#: whose products could make NaNs of another sign)
+EDGE_VALUES = st.sampled_from([0.0, -0.0, np.nan, 1.0, -1.0, 0.5, -2.25,
+                               1e-200, -3e100])
+
+
+@st.composite
+def edge_csr(draw, max_m=24, max_n=16):
+    """A CSR matrix with empty rows and columns likely, ``nnz == 0``
+    possible, and stored values that include -0.0 and NaN."""
+    m, n = draw(st.integers(0, max_m)), draw(st.integers(0, max_n))
+    cells = draw(st.sets(st.tuples(st.integers(0, max(m - 1, 0)),
+                                   st.integers(0, max(n - 1, 0))),
+                         max_size=m * n // 2)) if m and n else set()
+    cells = sorted(cells)
+    values = [draw(EDGE_VALUES) for _ in cells]
+    counts = np.bincount([r for r, _ in cells], minlength=m)
+    row_off = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    return CsrMatrix((m, n), np.array(values, dtype=np.float64),
+                     np.array([c for _, c in cells], dtype=np.int64),
+                     row_off)
+
+
+def edge_vector(size):
+    return st.lists(EDGE_VALUES, min_size=size, max_size=size).map(
+        lambda xs: np.array(xs, dtype=np.float64))
+
+
+def check_plan(plan, y, p, X=None):
+    """Planned products against the plain functions, byte for byte."""
+    ref = X if X is not None else plan.X
+    assert same_bits(plan.spmv(y, X=X), spmv(ref, y))
+    assert same_bits(plan.spmv_t(p, X=X), spmv_t(ref, p))
+
+
 class TestSpmvPlanBitIdentity:
+    """``SpmvPlan`` against the plain ``spmv``/``spmv_t`` (``np.repeat``
+    and ``np.bincount``), which share none of its executor."""
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 120),
            n=st.integers(1, 60), density=st.floats(0.0, 0.5))
@@ -216,20 +267,63 @@ class TestSpmvPlanBitIdentity:
         X = random_csr(m, n, density, rng=seed)
         plan = SpmvPlan(X)
         rng = np.random.default_rng(seed)
-        y = rng.normal(size=n)
-        p = rng.normal(size=m)
-        got = plan.spmv(y)
-        want = spmv(X, y)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        got_t = plan.spmv_t(p)
-        want_t = spmv_t(X, p)
-        assert got_t.dtype == want_t.dtype and np.array_equal(got_t, want_t)
+        check_plan(plan, rng.normal(size=n), rng.normal(size=m))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), X=edge_csr())
+    def test_signed_zeros_nans_and_empty_structure(self, data, X):
+        # empty rows and columns, nnz == 0, -0.0 and NaN in X and vectors;
+        # a column whose terms are all -0.0 sums to +0.0 in both paths
+        check_plan(SpmvPlan(X), data.draw(edge_vector(X.n)),
+                   data.draw(edge_vector(X.m)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), X=edge_csr())
+    def test_frozen_operand(self, data, X):
+        # a pinned matrix's arrays are read-only; the plan reads them in
+        # place and never writes them
+        y, p = data.draw(edge_vector(X.n)), data.draw(edge_vector(X.m))
+        engine = PatternEngine()
+        engine.pin(X)
+        assert not X.col_idx.flags.writeable
+        check_plan(SpmvPlan(X), y, p)
+        engine.unpin(X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), X=edge_csr())
+    def test_content_equal_operand(self, data, X):
+        # a cached plan serves a content-equal matrix passed as X=, and
+        # multiplies that matrix's arrays, not the building one's
+        twin = CsrMatrix(X.shape, X.values.copy(), X.col_idx.copy(),
+                         X.row_off.copy())
+        plan = SpmvPlan(X)
+        X.values *= 3.0
+        check_plan(plan, data.draw(edge_vector(X.n)),
+                   data.draw(edge_vector(X.m)), X=twin)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), density=st.floats(0.01, 0.4))
+    def test_threads_share_one_plan(self, seed, density):
+        X = random_csr(300, 80, density, rng=seed)
+        plan = SpmvPlan(X)
+        rng = np.random.default_rng(seed)
+        ys = [rng.normal(size=X.n) for _ in range(32)]
+        ps = [rng.normal(size=X.m) for _ in range(32)]
+        want = [(spmv(X, y), spmv_t(X, p)) for y, p in zip(ys, ps)]
+
+        def run(i):
+            return plan.spmv(ys[i]), plan.spmv_t(ps[i])
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(run, range(32)))
+        for (g, g_t), (w, w_t) in zip(got, want):
+            assert same_bits(g, w) and same_bits(g_t, w_t)
 
     def test_plan_scratch_reuse_stays_identical(self):
         X = random_csr(200, 50, 0.2, rng=3)
         plan = SpmvPlan(X)
         rng = np.random.default_rng(3)
-        for _ in range(5):        # repeated calls reuse the scratch buffer
+        for _ in range(5):        # repeated calls on one plan stay exact
             y = rng.normal(size=X.n)
             assert np.array_equal(plan.spmv(y), spmv(X, y))
             p = rng.normal(size=X.m)
@@ -240,6 +334,30 @@ class TestSpmvPlanBitIdentity:
         plan = SpmvPlan(X)
         assert np.array_equal(plan.spmv(np.ones(3)), np.zeros(4))
         assert np.array_equal(plan.spmv_t(np.ones(4)), np.zeros(3))
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_fused_kernel_matches_reference_sweep(chunk):
+    """The 200 parity patterns (dense ones in CSR form) through the fused
+    kernel, cold and pinned-warm on an engine: output bytes equal
+    ``fused_pattern_reference``, which runs the plain SpMV functions."""
+    rng = np.random.default_rng(7000 + chunk)
+    engine = PatternEngine()
+    for case in range(PATTERNS_PER_CHUNK):
+        X, y, v, z, alpha, beta, _ = _random_case(rng)
+        if not isinstance(X, CsrMatrix):
+            X = CsrMatrix.from_dense(X)
+        want = fused_pattern_reference(X, y, v, z, alpha, beta)
+        context = f"chunk={chunk} case={case}"
+        got = sparse_fused.fused_pattern_sparse(X, y, v, z, alpha, beta)
+        assert same_bits(got.output, want), context
+        engine.pin(X)
+        for _ in range(2):
+            got = engine.evaluate(X, y, v=v, z=z, alpha=alpha, beta=beta,
+                                  strategy="fused")
+            assert got.name.startswith("fused.pattern_sparse"), context
+            assert same_bits(got.output, want), context
+        engine.unpin(X)
 
 
 # -------------------------------------------- invalidation: no stale profile
